@@ -21,7 +21,7 @@ BENCH_JSON_SCALE = BenchmarkSimulator(Sharded)?/topo=ring/^n=1000000$$
 # the trajectory can be diffed.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: all build vet test race bench bench-smoke bench-json fuzz-smoke fleet-ci fleet-bench incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci cover ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-selftest fuzz-smoke fleet-ci fleet-bench incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci cover ci
 
 all: build
 
@@ -74,13 +74,21 @@ bench-json:
 	  | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 
+# bench-selftest builds and self-tests the repository benchmark (abcperf/,
+# a nested module outside `./...`), so an API change in runner, sim or
+# workload that breaks the benchmark program fails here instead of silently.
+bench-selftest:
+	cd abcperf && $(GO) build ./... && $(GO) test ./...
+
 # fuzz-smoke gives each differential fuzz target a short budget; the seed
 # corpus already pins the int64 overflow boundary, so even 10s runs cross
-# the promotion/demotion paths.
+# the promotion/demotion paths. FuzzReadJSON guards the trace input
+# boundary: bytes -> sim.ReadJSON -> batch and incremental checkers.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=10s ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=10s ./internal/sim
 
 # fleet-ci mirrors the CI "fleet" job: the golden-trace determinism and
 # engine-hermeticity suites under the race detector with shuffled test
@@ -174,4 +182,4 @@ parallel-ci:
 cover:
 	$(GO) test -cover ./internal/runner ./internal/sim
 
-ci: vet race bench-smoke fleet-ci incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci
+ci: vet race bench-smoke bench-selftest fleet-ci incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci

@@ -13,7 +13,7 @@ import (
 
 func TestRunSingleBroadcast(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3", "-seed", "1"}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3", "-seed", "1"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -36,7 +36,7 @@ func TestRunSingleBroadcast(t *testing.T) {
 func TestRunTraceExportRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3", "-seed", "1", "-trace", path}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3", "-seed", "1", "-trace", path}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestRunFleetSweep(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, workers := range []string{"1", "2", "8"} {
 		var out, errOut strings.Builder
-		args := []string{"-workload", "broadcast", "-n", "3", "-target", "3",
+		args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
 			"-seed", "1", "-runs", "5", "-workers", workers}
 		if err := run(args, &out, &errOut); err != nil {
 			t.Fatalf("workers=%s: %v (stderr: %s)", workers, err, errOut.String())
@@ -92,8 +92,8 @@ func TestRunFleetSweep(t *testing.T) {
 // tight-delay run that stays admissible throughout.
 func TestRunWatch(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "5",
-		"-xi", "3/2", "-max", "3", "-seed", "0", "-watch"}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=5",
+		"-param", "xi=3/2", "-param", "max=3", "-seed", "0", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -109,8 +109,8 @@ func TestRunWatch(t *testing.T) {
 	}
 
 	out.Reset()
-	args = []string{"-workload", "broadcast", "-n", "3", "-target", "3",
-		"-xi", "2", "-max", "17/16", "-seed", "1", "-watch"}
+	args = []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
+		"-param", "xi=2", "-param", "max=17/16", "-seed", "1", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -121,8 +121,8 @@ func TestRunWatch(t *testing.T) {
 
 	// Sweep mode: per-seed lines carry the violation index.
 	out.Reset()
-	args = []string{"-workload", "broadcast", "-n", "3", "-target", "5",
-		"-xi", "3/2", "-max", "3", "-seed", "0", "-runs", "4", "-workers", "2", "-watch"}
+	args = []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=5",
+		"-param", "xi=3/2", "-param", "max=3", "-seed", "0", "-runs", "4", "-workers", "2", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -138,7 +138,7 @@ func TestRunWatch(t *testing.T) {
 // resolved worker/shard split.
 func TestRunJSON(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3",
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
 		"-seed", "1", "-runs", "2", "-sweep", "xi=3/2,2", "-workers", "2", "-json"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
@@ -198,7 +198,7 @@ func TestRunShardsInvisible(t *testing.T) {
 	digests := make([]string, 0, 2)
 	for _, shards := range []string{"1", "4"} {
 		var out, errOut strings.Builder
-		args := []string{"-workload", "broadcast", "-param", "n=8", "-target", "4",
+		args := []string{"-workload", "broadcast", "-param", "n=8", "-param", "target=4",
 			"-seed", "1", "-runs", "3", "-shards", shards, "-json"}
 		if err := run(args, &out, &errOut); err != nil {
 			t.Fatalf("-shards %s: %v (stderr: %s)", shards, err, errOut.String())
@@ -242,19 +242,48 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-sweep", "xi=2,3", "-trace", "t.json"},
 		{"-shards", "-2"},
 		{"-json", "-trace", "t.json"},
-		{"-xi", "not-a-rational"},
+		{"-param", "xi=not-a-rational"},
 		{"-param", "no-such-param=1"},
 		{"-param", "missing-equals"},
 		{"-sweep", "ghost=1,2"},
 		{"-sweep", "xi"},
 		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"}, // duplicate axis
-		{"-workload", "scenario", "-n", "4"},     // scenario declares no n
 		{"-workload", "scenario", "-param", "fig=fig77"},
+		{"-n", "4"}, // no shorthand flags: -param sets every parameter
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunRejectsRetiredParams pins the one-knob-per-setting contract:
+// the legacy fault switches and the per-job shard param are not params
+// of any source (faults= and -shards replace them), and a source that
+// does not declare a param rejects it by name.
+func TestRunRejectsRetiredParams(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "scenario", "-param", "n=4"},
+		{"-workload", "clocksync", "-param", "adversaries=true"},
+		{"-workload", "lockstep", "-param", "advseed=42"},
+		{"-workload", "vlsi", "-param", "silent=1"},
+		{"-workload", "broadcast", "-param", "shards=2"},
+	} {
+		var out, errOut strings.Builder
+		err := run(args, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), "has no param") {
+			t.Errorf("args %v: got %v, want a \"has no param\" error", args, err)
+		}
+	}
+	var out, errOut strings.Builder
+	if err := run([]string{"-list"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"adversaries", "advseed", "silent", "shards"} {
+		if strings.Contains(out.String(), "-param "+name+" ") {
+			t.Errorf("-list still shows -param %s", name)
 		}
 	}
 }
@@ -275,7 +304,7 @@ func TestRunList(t *testing.T) {
 	for _, want := range []string{
 		"registered workloads:",
 		"-param fig", // scenario's parameter space is printed
-		"-param adversaries",
+		"-param faults",
 		"rational",
 	} {
 		if !strings.Contains(got, want) {
@@ -291,7 +320,7 @@ func TestRunList(t *testing.T) {
 func TestRunRegistryWorkloads(t *testing.T) {
 	// Trace source: Fig. 3 at its violating Ξ.
 	var out, errOut strings.Builder
-	err := run([]string{"-workload", "scenario", "-param", "fig=fig3", "-xi", "2"}, &out, &errOut)
+	err := run([]string{"-workload", "scenario", "-param", "fig=fig3", "-param", "xi=2"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("scenario: %v (stderr: %s)", err, errOut.String())
 	}
@@ -308,7 +337,7 @@ func TestRunRegistryWorkloads(t *testing.T) {
 
 	// Simulation source with theorem verdicts.
 	out.Reset()
-	err = run([]string{"-workload", "lockstep", "-n", "4", "-f", "1", "-target", "3", "-seed", "2"}, &out, &errOut)
+	err = run([]string{"-workload", "lockstep", "-param", "n=4", "-param", "f=1", "-param", "target=3", "-seed", "2"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("lockstep: %v (stderr: %s)", err, errOut.String())
 	}
@@ -320,7 +349,7 @@ func TestRunRegistryWorkloads(t *testing.T) {
 
 	// Source without an xi parameter: no ABC clause, ratio still searched.
 	out.Reset()
-	err = run([]string{"-workload", "variants", "-target", "3", "-seed", "1"}, &out, &errOut)
+	err = run([]string{"-workload", "variants", "-param", "target=3", "-seed", "1"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("variants: %v (stderr: %s)", err, errOut.String())
 	}
@@ -359,8 +388,8 @@ func TestRunSweepGrid(t *testing.T) {
 	// Truncated cells are flagged per line: a clocksync sweep whose event
 	// budget cannot reach the target.
 	out.Reset()
-	args = []string{"-workload", "clocksync", "-target", "4",
-		"-param", "maxevents=40", "-sweep", "n=4,7", "-f", "1"}
+	args = []string{"-workload", "clocksync", "-param", "target=4",
+		"-param", "maxevents=40", "-sweep", "n=4,7", "-param", "f=1"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}

@@ -26,10 +26,8 @@ func init() {
 			{Name: "target", Kind: workload.Int, Default: "10", Doc: "clock value every correct process must reach"},
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
-			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries (off: the f slots stay silent but count)"},
-			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "200000", Doc: "receive-event budget"},
-		}, append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     clockSyncJob,
 		Verdict: clockSyncVerdict,
 		// The Section 3 monitors replay the recorded clock notes and the
@@ -39,8 +37,9 @@ func init() {
 }
 
 // clockSyncByz is the ByzFactory behind the shared fault axis: the
-// deterministic adversary assortment, seeded by faultseed (the job seed
-// when negative, matching advseed's convention).
+// deterministic assortment of Adversaries, seeded by faultseed (the job
+// seed when negative): faults=byz/f builds the same map as
+// Adversaries(n, f, faultseed).
 func clockSyncByz(v workload.Values, seed int64) workload.ByzFactory {
 	fseed := v.Int64("faultseed")
 	if fseed < 0 {
@@ -56,15 +55,7 @@ func clockSyncJob(v workload.Values, seed int64) (runner.Job, error) {
 	if f < 0 || n < 3*f+1 {
 		return runner.Job{}, fmt.Errorf("clocksync: need n >= 3f+1, got n=%d f=%d", n, f)
 	}
-	faults, net, err := workload.SharedOrLegacyFaults(v, n, nil,
-		clockSyncByz(v, seed), v.Bool("adversaries"), "adversaries=true",
-		func() map[sim.ProcessID]sim.Fault {
-			advseed := v.Int64("advseed")
-			if advseed < 0 {
-				advseed = seed
-			}
-			return Adversaries(n, f, uint64(advseed))
-		})
+	faults, net, err := workload.ResolveFaults(v, n, nil, clockSyncByz(v, seed))
 	if err != nil {
 		return runner.Job{}, err
 	}

@@ -38,10 +38,8 @@ func init() {
 			{Name: "target", Kind: workload.Int, Default: "6", Doc: "round every correct process must start"},
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
-			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries"},
-			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "300000", Doc: "receive-event budget"},
-		}, append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     lockStepJob,
 		Verdict: lockStepVerdict,
 		// Theorem 5 presupposes a verified-admissible run, and the batch
@@ -63,17 +61,9 @@ func lockStepJob(v workload.Values, seed int64) (runner.Job, error) {
 	if fseed < 0 {
 		fseed = seed
 	}
-	faults, net, err := workload.SharedOrLegacyFaults(v, n, nil,
+	faults, net, err := workload.ResolveFaults(v, n, nil,
 		func(i int, id sim.ProcessID, budget int) sim.Process {
 			return clocksync.Adversary(i, uint64(fseed), budget)
-		},
-		v.Bool("adversaries"), "adversaries=true",
-		func() map[sim.ProcessID]sim.Fault {
-			advseed := v.Int64("advseed")
-			if advseed < 0 {
-				advseed = seed
-			}
-			return clocksync.Adversaries(n, f, uint64(advseed))
 		})
 	if err != nil {
 		return runner.Job{}, err

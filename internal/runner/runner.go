@@ -137,10 +137,12 @@ type Options struct {
 	// one is set explicitly.
 	Workers int
 	// Shards is the intra-job shard count stamped into each job's
-	// sim.Config (jobs that set Cfg.Shards themselves are left alone):
-	// 0 leaves configs untouched (serial engines), 1 forces the serial
-	// path, n > 1 runs every simulation on n shards, and ShardsAuto
-	// derives the count from the cores the worker pool leaves idle.
+	// sim.Config: 0 leaves configs untouched (serial engines), 1 forces
+	// the serial path, n > 1 runs every simulation on n shards, and
+	// ShardsAuto derives the count from the cores the worker pool leaves
+	// idle. Precedence is Cfg.Shards > Options.Shards: a job whose config
+	// sets its own shard count keeps it. Workloads declare no shard
+	// parameter, so these two are the only ways to set it.
 	//
 	// The two auto-sizers never oversubscribe each other: the derived
 	// workers × shards product stays ≤ runtime.GOMAXPROCS(0). Small

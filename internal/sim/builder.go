@@ -140,8 +140,7 @@ func (b *TraceBuilder) Build() (*Trace, error) {
 		Msgs:   b.msgs,
 		Faulty: b.faulty,
 	}
-	t.indexEvents()
-	if err := t.Validate(); err != nil {
+	if err := t.seal(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -143,8 +143,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			Dropped: jm.Dropped,
 		}
 	}
-	t.indexEvents()
-	if err := t.Validate(); err != nil {
+	if err := t.seal(); err != nil {
 		return nil, err
 	}
 	return t, nil

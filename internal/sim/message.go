@@ -333,23 +333,79 @@ func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, e
 		Msgs:   msgs,
 		Faulty: faulty,
 	}
-	t.indexEvents()
-	if err := t.Validate(); err != nil {
+	if err := t.seal(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Validate checks internal consistency of the trace: event indices are
-// dense and per-process increasing, message recv times are not before send
-// times, and triggers resolve. It is used by tests and by cmd/abccheck when
-// loading external traces.
-func (t *Trace) Validate() error {
+// seal indexes and validates a trace assembled from raw parts. The shape
+// check runs first: N is bounded by the Faulty slice the caller already
+// holds, so a hostile N (e.g. from trace JSON) fails before anything is
+// sized by it.
+func (t *Trace) seal() error {
+	if err := t.checkShape(); err != nil {
+		return err
+	}
+	t.indexEvents()
+	return t.Validate()
+}
+
+// checkShape validates N and the Faulty length without allocating.
+func (t *Trace) checkShape() error {
 	if t.N <= 0 {
 		return fmt.Errorf("sim: trace has N = %d", t.N)
 	}
 	if len(t.Faulty) != t.N {
 		return fmt.Errorf("sim: Faulty has length %d, want %d", len(t.Faulty), t.N)
+	}
+	return nil
+}
+
+// Validate checks internal consistency of the trace. Receive side:
+// event indices are dense and per-process increasing, and every trigger
+// resolves to an undropped message addressed to the event's process at
+// the event's time. Send side: senders and receivers are in range, every
+// wake-up comes from External with SendStepExternal, and every other
+// message names a sending step of its sender — an event index or
+// SendStepScripted — and is not received before it is sent. A delivered
+// message's step must be a recorded event of the sender; an undelivered
+// one may name a step the trace has not recorded yet, so trace prefixes
+// over the full message table stay valid. A correct process's message
+// sent at a recorded step carries that event's time as SendTime. Faulty
+// processes' messages are exempt from the model and from the time check
+// (a Theorem 9 retiming may clamp their send times).
+//
+// Causal delivery order is not required (causality.Build handles any
+// order; causality.Builder and hence check.Incremental reject traces
+// that receive a message before its sending step).
+//
+// It is used by tests and by cmd/abccheck when loading external traces.
+func (t *Trace) Validate() error {
+	if err := t.checkShape(); err != nil {
+		return err
+	}
+	for i, m := range t.Msgs {
+		if int(m.ID) != i {
+			return fmt.Errorf("sim: message %d has ID %d", i, m.ID)
+		}
+		if m.To < 0 || int(m.To) >= t.N {
+			return fmt.Errorf("sim: message %d has receiver %d out of range", i, m.To)
+		}
+		switch {
+		case m.From == External:
+			if m.SendStep != SendStepExternal {
+				return fmt.Errorf("sim: wake-up message %d has send step %d, want %d", i, m.SendStep, SendStepExternal)
+			}
+			continue
+		case m.From < 0 || int(m.From) >= t.N:
+			return fmt.Errorf("sim: message %d has sender %d out of range", i, m.From)
+		case m.SendStep < 0 && m.SendStep != SendStepScripted:
+			return fmt.Errorf("sim: message %d has send step %d", i, m.SendStep)
+		}
+		if m.RecvTime.Less(m.SendTime) {
+			return fmt.Errorf("sim: message %d received at %v before sent at %v", i, m.RecvTime, m.SendTime)
+		}
 	}
 	next := make([]int, t.N)
 	for i, ev := range t.Events {
@@ -359,7 +415,6 @@ func (t *Trace) Validate() error {
 		if ev.Index != next[ev.Proc] {
 			return fmt.Errorf("sim: event %d at p%d has index %d, want %d", i, ev.Proc, ev.Index, next[ev.Proc])
 		}
-		next[ev.Proc]++
 		if ev.Trigger < 0 || int(ev.Trigger) >= len(t.Msgs) {
 			return fmt.Errorf("sim: event %d has dangling trigger %d", i, ev.Trigger)
 		}
@@ -373,13 +428,27 @@ func (t *Trace) Validate() error {
 		if !m.RecvTime.Equal(ev.Time) {
 			return fmt.Errorf("sim: event %d time %v != message recv time %v", i, ev.Time, m.RecvTime)
 		}
+		next[ev.Proc]++
+	}
+	for i, ev := range t.Events {
+		if m := t.Msgs[ev.Trigger]; m.SendStep >= 0 && m.SendStep >= next[m.From] {
+			return fmt.Errorf("sim: event %d receives message %d from send step p%d/%d, which p%d does not have",
+				i, m.ID, m.From, m.SendStep, m.From)
+		}
+	}
+	pos := t.eventPos
+	if len(pos) != t.N {
+		// Bare trace shell without the dense index: build a private one.
+		c := Trace{N: t.N, Events: t.Events}
+		c.indexEvents()
+		pos = c.eventPos
 	}
 	for i, m := range t.Msgs {
-		if int(m.ID) != i {
-			return fmt.Errorf("sim: message %d has ID %d", i, m.ID)
+		if m.SendStep < 0 || t.Faulty[m.From] || m.SendStep >= next[m.From] {
+			continue
 		}
-		if !m.IsWakeup() && m.RecvTime.Less(m.SendTime) {
-			return fmt.Errorf("sim: message %d received at %v before sent at %v", i, m.RecvTime, m.SendTime)
+		if st := t.Events[pos[m.From][m.SendStep]].Time; !st.Equal(m.SendTime) {
+			return fmt.Errorf("sim: message %d send time %v != sending event p%d/%d time %v", i, m.SendTime, m.From, m.SendStep, st)
 		}
 	}
 	return nil

@@ -14,8 +14,10 @@ import (
 // Algorithm 1 over a placed-and-routed chip whose wire delays come from
 // the default range, optionally scaled by a migration factor (a faster
 // process node scales every wire uniformly, preserving all cycle ratios
-// and hence Ξ). `silent` dead modules model fab defects. The domain
-// verdict is the Theorem 3 precision bound on admissible, complete runs.
+// and hence Ξ). Dead modules (fab defects) are crash faults on the shared
+// fault axis: faults=crash/K kills K modules, IDs n-1 downward. The
+// domain verdict is the Theorem 3 precision bound on admissible, complete
+// runs.
 func init() {
 	workload.Register(workload.Source{
 		Name: "vlsi",
@@ -28,9 +30,8 @@ func init() {
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "default wire delay lower bound"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "default wire delay upper bound"},
 			{Name: "scale", Kind: workload.Rational, Default: "1", Doc: "technology-migration factor applied to every wire"},
-			{Name: "silent", Kind: workload.Int, Default: "0", Doc: "number of dead modules (fab defects), IDs n-1 downward"},
 			{Name: "maxevents", Kind: workload.Int, Default: "400000", Doc: "receive-event budget"},
-		}, append(workload.TopologyParams(), append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...)...),
+		}, append(workload.TopologyParams(), append(workload.FaultParams(), workload.TraceParams()...)...)...),
 		Job:     vlsiJob,
 		Verdict: vlsiVerdict,
 		// The Theorem 3 precision check replays the recorded clock notes.
@@ -49,10 +50,6 @@ func vlsiJob(v workload.Values, seed int64) (runner.Job, error) {
 			return runner.Job{}, err
 		}
 	}
-	silent := v.Int("silent")
-	if silent < 0 || silent > f {
-		return runner.Job{}, fmt.Errorf("vlsi: silent=%d must be within [0, f=%d]", silent, f)
-	}
 	topo, err := workload.ResolveTopology(v, n)
 	if err != nil {
 		return runner.Job{}, err
@@ -60,15 +57,7 @@ func vlsiJob(v workload.Values, seed int64) (runner.Job, error) {
 	// The chip has no live Byzantine family (dead modules and stuck
 	// drivers, not adversarial logic): the nil factory rejects byz
 	// clauses, crash/script model fab defects and glitching wires.
-	faults, net, err := workload.SharedOrLegacyFaults(v, n, topo, nil,
-		silent > 0, "silent>0",
-		func() map[sim.ProcessID]sim.Fault {
-			m := make(map[sim.ProcessID]sim.Fault, silent)
-			for i := 0; i < silent; i++ {
-				m[sim.ProcessID(n-1-i)] = sim.Silent()
-			}
-			return m
-		})
+	faults, net, err := workload.ResolveFaults(v, n, topo, nil)
 	if err != nil {
 		return runner.Job{}, err
 	}

@@ -16,7 +16,6 @@
 package all_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -66,11 +65,7 @@ func defaultJobs(t *testing.T, name string, opt workload.JobOptions) []runner.Jo
 
 func run(t *testing.T, jobs []runner.Job, workers int) []runner.JobResult {
 	t.Helper()
-	results, _, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
+	return runSharded(t, jobs, workers, 0)
 }
 
 // fingerprint reduces a result to the fields the determinism contract

@@ -8,7 +8,7 @@
 package all_test
 
 import (
-	"strconv"
+	"context"
 	"testing"
 
 	"repro/internal/runner"
@@ -21,8 +21,19 @@ import (
 // the rest the parallel engine (where the source's config permits it).
 var shardCounts = []int{1, 2, 4, 8}
 
-// TestShardInvisibilityAllSources sweeps the "shards" parameter across
-// every registered source that declares it (all simulation sources) and
+// runSharded runs jobs on the fleet with the given per-job shard count
+// (runner.Options.Shards: 0 and 1 keep the serial engine).
+func runSharded(t *testing.T, jobs []runner.Job, workers, shards int) []runner.JobResult {
+	t.Helper()
+	results, _, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// TestShardInvisibilityAllSources runs every registered simulation source
+// (those whose jobs carry a sim.Config) at each fleet shard count and
 // requires result fingerprints — trace hash, verdict, ratio, first
 // violation, domain-check error — identical to the serial baseline.
 // Domain verdicts stay enabled: a shard-dependent theorem check would be
@@ -35,14 +46,14 @@ func TestShardInvisibilityAllSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: defaults do not resolve: %v", name, err)
 		}
-		if !v.Has("shards") {
+		jobs, err := s.Jobs(v, seeds, workload.JobOptions{Ratio: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if jobs[0].Cfg == nil {
 			continue // trace-replay source, nothing to shard
 		}
 		t.Run(name, func(t *testing.T) {
-			jobs, err := s.Jobs(v, seeds, workload.JobOptions{Ratio: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			baseline := run(t, jobs, 1)
 			for _, r := range baseline {
 				if r.Err != nil {
@@ -50,15 +61,12 @@ func TestShardInvisibilityAllSources(t *testing.T) {
 				}
 			}
 			for _, shards := range shardCounts {
-				vs, err := v.Set("shards", strconv.Itoa(shards))
+				// Fresh jobs per run: Byzantine adversaries are stateful.
+				jobs, err := s.Jobs(v, seeds, workload.JobOptions{Ratio: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				jobs, err := s.Jobs(vs, seeds, workload.JobOptions{Ratio: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				results := run(t, jobs, 2)
+				results := runSharded(t, jobs, 2, shards)
 				for i, r := range results {
 					if got, want := fingerprint(r), fingerprint(baseline[i]); got != want {
 						t.Errorf("shards=%d: %s:\n got %s\nwant %s", shards, r.Key, got, want)
@@ -85,12 +93,9 @@ func TestShardInvisibilityFaultPlane(t *testing.T) {
 		"recover/1@2..4+drop/0.2+dup/0.15",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			jobsFor := func(shards int) []runner.Job {
+			jobsFor := func() []runner.Job {
 				t.Helper()
-				v, err := s.Resolve(map[string]string{
-					"faults": spec,
-					"shards": strconv.Itoa(shards),
-				})
+				v, err := s.Resolve(map[string]string{"faults": spec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,14 +105,14 @@ func TestShardInvisibilityFaultPlane(t *testing.T) {
 				}
 				return jobs
 			}
-			base := run(t, jobsFor(1), 1)
+			base := runSharded(t, jobsFor(), 1, 1)
 			for _, r := range base {
 				if r.Err != nil {
 					t.Fatalf("%s: %v", r.Key, r.Err)
 				}
 			}
 			for _, shards := range shardCounts[1:] {
-				results := run(t, jobsFor(shards), 1)
+				results := runSharded(t, jobsFor(), 1, shards)
 				for i, r := range results {
 					if got, want := fingerprint(r), fingerprint(base[i]); got != want {
 						t.Errorf("shards=%d: %s:\n got %s\nwant %s", shards, r.Key, got, want)

@@ -321,23 +321,6 @@ func Recovering(v Values) bool {
 	return false
 }
 
-// SharedOrLegacyFaults resolves the shared fault axis unless the
-// source's legacy fault switch (clocksync/lockstep `adversaries`, vlsi
-// `silent`) is engaged, in which case legacy supplies the map and a
-// non-none spec is a conflict error — both conventions assign IDs n-1
-// downward, so combining them would double-book processes silently.
-func SharedOrLegacyFaults(v Values, n int, topo sim.Topology, byz ByzFactory,
-	legacyOn bool, legacyName string, legacy func() map[sim.ProcessID]sim.Fault) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
-	if legacyOn {
-		if spec := v.String("faults"); spec != "none" && spec != "" {
-			return nil, nil, fmt.Errorf("workload: %s: fault spec %q conflicts with %s (both assign IDs n-1 downward)",
-				v.source, spec, legacyName)
-		}
-		return legacy(), nil, nil
-	}
-	return ResolveFaults(v, n, topo, byz)
-}
-
 // insertInterval inserts iv into the schedule keeping it sorted by From.
 // Overlaps are left for sim.Run's schedule validation to reject.
 func insertInterval(down []sim.Interval, iv sim.Interval) []sim.Interval {

@@ -307,26 +307,3 @@ func TestResolveFaultsErrors(t *testing.T) {
 		t.Errorf("inflight=queue: %v", err)
 	}
 }
-
-func TestSharedOrLegacyFaults(t *testing.T) {
-	legacy := func() map[sim.ProcessID]sim.Fault {
-		return map[sim.ProcessID]sim.Fault{3: sim.Silent()}
-	}
-	// Legacy switch on, no spec: the legacy map wins.
-	v := faultValues(t, nil)
-	faults, net, err := SharedOrLegacyFaults(v, 4, nil, nil, true, "adversaries=true", legacy)
-	if err != nil || len(faults) != 1 || net != nil {
-		t.Fatalf("legacy path: (%v, %v, %v)", faults, net, err)
-	}
-	// Both engaged: conflict error naming the legacy switch.
-	v = faultValues(t, map[string]string{"faults": "crash/1"})
-	if _, _, err := SharedOrLegacyFaults(v, 4, nil, nil, true, "adversaries=true", legacy); err == nil ||
-		!strings.Contains(err.Error(), "adversaries=true") {
-		t.Errorf("conflict not rejected: %v", err)
-	}
-	// Legacy off: the spec resolves through the shared axis.
-	faults, _, err = SharedOrLegacyFaults(v, 4, nil, nil, false, "adversaries=true", legacy)
-	if err != nil || len(faults) != 1 || faults[3].CrashAfter != 0 {
-		t.Fatalf("shared path: (%v, %v)", faults, err)
-	}
-}
