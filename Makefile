@@ -84,11 +84,14 @@ bench-selftest:
 # corpus already pins the int64 overflow boundary, so even 10s runs cross
 # the promotion/demotion paths. FuzzReadJSON guards the trace input
 # boundary: bytes -> sim.ReadJSON -> batch and incremental checkers.
+# FuzzConstraintKernel pins the checker's constraint-CSR Bellman–Ford
+# against the generic Digraph reference it replaced.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=10s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=10s ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzConstraintKernel -fuzztime=10s ./internal/check
 
 # fleet-ci mirrors the CI "fleet" job: the golden-trace determinism and
 # engine-hermeticity suites under the race detector with shuffled test
@@ -110,7 +113,7 @@ fleet-bench:
 # incremental-vs-batch differential grid and the watch-mode suites under
 # the race detector, plus a bench smoke of the append-batch workload.
 incremental-ci:
-	$(GO) test -race -run 'Incremental|Watch|Monitor|Builder|IsDAG|BellmanFordFrom|Plan' ./internal/check ./internal/causality ./internal/sim ./internal/runner ./internal/graphutil
+	$(GO) test -race -run 'Incremental|Watch|Monitor|Builder|IsDAG|BellmanFordFrom|ReusesBuffers|MatchesReference' ./internal/check ./internal/causality ./internal/sim ./internal/runner
 	$(GO) test -run=NONE -bench='BenchmarkIncrementalChecker' -benchmem -benchtime=10x .
 
 # workloads-ci mirrors the CI "workloads" job: the registry-wide

@@ -118,13 +118,21 @@ func benchGraph(b *testing.B, n, steps int) *causality.Graph {
 	return causality.Build(res.Trace, causality.Options{})
 }
 
+// checkedFull is the graph shape of the repository benchmark's
+// checked-full workload: broadcast at n=100 over the full topology with
+// target=5, about 50k nodes. The smaller cases never allocate enough for
+// allocation volume to show, so the checker and graph-build benchmarks
+// include this one and report allocations.
+var checkedFull = struct{ n, steps int }{100, 5}
+
 // BenchmarkChecker measures the Bellman–Ford admissibility check across
 // graph sizes (the paper's Definition 4 made O(V·E)).
 func BenchmarkChecker(b *testing.B) {
-	for _, size := range []struct{ n, steps int }{{4, 10}, {6, 20}, {8, 40}} {
+	for _, size := range []struct{ n, steps int }{{4, 10}, {6, 20}, {8, 40}, checkedFull} {
 		g := benchGraph(b, size.n, size.steps)
 		name := fmt.Sprintf("nodes=%d/edges=%d", g.NumNodes(), g.NumEdges())
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := check.ABC(g, rat.FromInt(2)); err != nil {
 					b.Fatal(err)
@@ -137,12 +145,17 @@ func BenchmarkChecker(b *testing.B) {
 // BenchmarkMaxRelevantRatio measures the exact Stern–Brocot critical-ratio
 // search.
 func BenchmarkMaxRelevantRatio(b *testing.B) {
-	g := benchGraph(b, 5, 15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := check.MaxRelevantRatio(g); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct{ n, steps int }{{5, 15}, checkedFull} {
+		g := benchGraph(b, size.n, size.steps)
+		name := fmt.Sprintf("nodes=%d/edges=%d", g.NumNodes(), g.NumEdges())
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := check.MaxRelevantRatio(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -412,25 +425,23 @@ func BenchmarkClockSyncScale(b *testing.B) {
 
 // BenchmarkGraphBuild measures execution-graph construction.
 func BenchmarkGraphBuild(b *testing.B) {
-	res, err := sim.Run(sim.Config{
-		N: 6,
-		Spawn: func(p sim.ProcessID) sim.Process {
-			return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
-				if env.StepIndex() < 30 {
-					env.Broadcast(env.StepIndex())
-				}
-			})
-		},
-		Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-		Seed:      1,
-		MaxEvents: 1 << 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		causality.Build(res.Trace, causality.Options{})
+	for _, size := range []struct{ n, steps int }{{6, 30}, checkedFull} {
+		res, err := sim.Run(sim.Config{
+			N:         size.n,
+			Spawn:     benchSpawner(size.steps),
+			Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+			Seed:      1,
+			MaxEvents: 1 << 20,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("events=%d", len(res.Trace.Events)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				causality.Build(res.Trace, causality.Options{})
+			}
+		})
 	}
 }
 

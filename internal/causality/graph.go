@@ -120,7 +120,7 @@ type Options struct {
 
 // dropped reports whether message m is exempt from the graph (and hence
 // from the synchrony condition) under opts.
-func dropped(t *sim.Trace, opts Options, m sim.Message) bool {
+func dropped(t *sim.Trace, opts Options, m *sim.Message) bool {
 	if m.IsWakeup() {
 		return false
 	}
@@ -130,57 +130,80 @@ func dropped(t *sim.Trace, opts Options, m sim.Message) bool {
 	if t.Faulty[m.From] {
 		return true
 	}
-	return opts.DropMessage != nil && opts.DropMessage(m)
+	return opts.DropMessage != nil && opts.DropMessage(*m)
 }
 
-// Build constructs the execution graph of a trace.
+// Build constructs the execution graph of a trace. Every slice it creates
+// is sized exactly: a first pass counts each process's events and the kept
+// messages before any edge is written.
 func Build(t *sim.Trace, opts Options) *Graph {
+	n := len(t.Events)
 	g := &Graph{
 		trace:       t,
-		nodeByEvent: make([]NodeID, len(t.Events)),
+		nodes:       make([]Node, n),
+		nodeByEvent: make([]NodeID, n),
 		procNodes:   make([][]NodeID, t.N),
 	}
 
-	// Pass 1: create a node for every receive event. Events triggered by
-	// dropped messages stay as nodes (see the package comment) but will
-	// get no incoming message edge.
-	for pos, ev := range t.Events {
-		m := t.Msgs[ev.Trigger]
-		id := NodeID(len(g.nodes))
-		g.nodes = append(g.nodes, Node{
+	// Each process's node list is a window of one shared array, capped so
+	// that no list can grow into its neighbour.
+	perProc := make([]int, t.N)
+	for i := range t.Events {
+		perProc[t.Events[i].Proc]++
+	}
+	shared := make([]NodeID, n)
+	locals, off := 0, 0
+	for p, c := range perProc {
+		if c > 0 {
+			g.procNodes[p] = shared[off : off : off+c]
+			off += c
+			locals += c - 1
+		}
+	}
+
+	// Pass 1: create a node for every receive event — node IDs are trace
+	// positions. Events triggered by dropped messages stay as nodes (see
+	// the package comment) but get no incoming message edge. Until pass 3,
+	// nodeByEvent[pos] holds the node that sent the event's kept message,
+	// or -1 when there is none.
+	for pos := range t.Events {
+		ev := &t.Events[pos]
+		m := &t.Msgs[ev.Trigger]
+		g.nodes[pos] = Node{
 			Proc:     ev.Proc,
 			Index:    ev.Index,
 			Time:     ev.Time,
 			TracePos: pos,
 			Wakeup:   m.IsWakeup(),
-		})
-		g.nodeByEvent[pos] = id
-		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], id)
+		}
+		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
+		from := -1 // external trigger, exempted, or a scripted send without a step
+		if !m.IsWakeup() && !dropped(t, opts, m) {
+			from = t.EventAt(m.From, m.SendStep)
+		}
+		if from >= 0 {
+			g.msgCount++
+		}
+		g.nodeByEvent[pos] = NodeID(from)
 	}
+	g.edges = make([]Edge, 0, locals+g.msgCount)
 
 	// Pass 2: local edges between consecutive kept events of each process.
-	for p := 0; p < t.N; p++ {
-		nodes := g.procNodes[p]
+	for _, nodes := range g.procNodes {
 		for i := 1; i < len(nodes); i++ {
 			g.edges = append(g.edges, Edge{From: nodes[i-1], To: nodes[i], Kind: Local, Msg: -1})
 		}
 	}
 
 	// Pass 3: message edges for kept messages, from the sending step's
-	// node to the receive event's node.
-	for pos, ev := range t.Events {
-		to := g.nodeByEvent[pos]
-		m := t.Msgs[ev.Trigger]
-		if m.IsWakeup() || dropped(t, opts, m) {
-			continue // external trigger or exempted: no message edge
+	// node to the receive event's node; then nodeByEvent becomes the
+	// identity it is for every event.
+	for pos, from := range g.nodeByEvent {
+		if from >= 0 {
+			id := t.Msgs[t.Events[pos].Trigger].ID
+			g.edges = append(g.edges, Edge{From: from, To: NodeID(pos), Kind: Message, Msg: id})
 		}
-		sendPos := t.EventAt(m.From, m.SendStep)
-		if sendPos < 0 {
-			continue // scripted send without a step: dangling
-		}
-		from := g.nodeByEvent[sendPos]
-		g.edges = append(g.edges, Edge{From: from, To: to, Kind: Message, Msg: m.ID})
-		g.msgCount++
+		g.nodeByEvent[pos] = NodeID(pos)
 	}
 
 	g.ensureCSR()

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/cycles"
-	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -71,51 +70,41 @@ func ABC(g *causality.Graph, xi rat.Rat) (Verdict, error) {
 	return p.probe(a, b, true)
 }
 
-// constraint edge label encoding: label = 3*edgeID + kind.
-const (
-	labelUpper = 0 // message upper bound, traversed forward
-	labelLower = 1 // message lower bound, traversed backward
-	labelLocal = 2 // local edge, traversed backward
-)
-
 // prober is a reusable admissibility oracle for one execution graph. The
 // constraint digraph topology does not depend on the probed ratio — only
-// the edge weights do — so it is built once and re-weighted per probe.
-// This matters for the Stern–Brocot critical-ratio search, which issues
-// O(log² K) probes against the same graph.
+// the three per-kind arc weights do — so it is built once and each probe
+// sets the weights. This matters for the Stern–Brocot critical-ratio
+// search, which issues O(log² K) probes against the same graph.
 type prober struct {
 	g  *causality.Graph
-	cg *graphutil.Digraph
+	cs *constraints
 	e  int64 // constraint-relevant execution edges
 	v  int64 // execution nodes
 	// dist is the distance vector of the most recent feasible probe,
 	// reused to warm-start the next probe's Bellman–Ford: consecutive
 	// Stern–Brocot candidates are close, so the previous solution is
 	// nearly feasible for the new weights and the sweep count collapses.
+	// nil until a probe is feasible.
 	dist []int64
+	// work and pred are the solver's buffers, reused across probes; a
+	// feasible probe swaps work with dist.
+	work []int64
+	pred []int32
 }
 
-// newProber validates the execution graph and builds the constraint
-// digraph topology with placeholder weights. The DAG check runs directly
-// on the execution graph's CSR adjacency — no Digraph copy.
+// newProber validates the execution graph and builds its constraint
+// digraph. The DAG check runs directly on the execution graph's CSR
+// adjacency.
 func newProber(g *causality.Graph) (*prober, error) {
 	if !g.IsDAG() {
 		return nil, errors.New("check: execution graph is not a DAG")
 	}
 	edges := g.Edges()
-	cg := graphutil.New(g.NumNodes())
-	for i, edge := range edges {
-		switch edge.Kind {
-		case causality.Message:
-			cg.AddEdge(int(edge.From), int(edge.To), 0, int32(3*i+labelUpper))
-			cg.AddEdge(int(edge.To), int(edge.From), 0, int32(3*i+labelLower))
-		case causality.Local:
-			cg.AddEdge(int(edge.To), int(edge.From), 0, int32(3*i+labelLocal))
-		default:
-			return nil, fmt.Errorf("check: unknown edge kind %v", edge.Kind)
-		}
+	cs, err := newConstraints(g.NumNodes(), edges)
+	if err != nil {
+		return nil, err
 	}
-	return &prober{g: g, cg: cg, e: int64(len(edges)), v: int64(g.NumNodes())}, nil
+	return &prober{g: g, cs: cs, e: int64(len(edges)), v: int64(g.NumNodes()), pred: make([]int32, g.NumNodes())}, nil
 }
 
 // probe solves the scaled constraint system for Ξ = a/b. wantCerts
@@ -125,61 +114,50 @@ func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
 	// Overflow guard: the largest |path sum| is bounded by (V+1)·max|w|,
 	// with max|w| <= max(a,b)·S + 1. Guard the guard's own products too:
 	// maxW·s+1 must not wrap before it is used as a divisor.
-	maxW := a
-	if b > maxW {
-		maxW = b
-	}
+	maxW := max(a, b)
 	if maxW > 0 && (maxW > (math.MaxInt64-1)/s || (p.v+2) > math.MaxInt64/(maxW*s+1)) {
 		return Verdict{}, fmt.Errorf("check: graph too large for exact int64 arithmetic (V=%d, E=%d, Ξ=%d/%d)", p.v, p.e, a, b)
 	}
 
-	for i, ce := range p.cg.Edges() {
-		switch ce.Label % 3 {
-		case labelUpper:
-			// t(v) - t(u) < a/b  =>  T(v) - T(u) <= a·S − 1.
-			p.cg.SetWeight(i, a*s-1)
-		case labelLower:
-			// t(v) - t(u) > 1    =>  T(u) - T(v) <= −b·S − 1.
-			p.cg.SetWeight(i, -b*s-1)
-		case labelLocal:
-			// t(v) - t(u) > 0    =>  T(u) - T(v) <= −1.
-			p.cg.SetWeight(i, -1)
-		}
+	weights := [3]int64{
+		labelUpper: a*s - 1,  // t(v) - t(u) < a/b  =>  T(v) - T(u) <= a·S − 1
+		labelLower: -b*s - 1, // t(v) - t(u) > 1    =>  T(u) - T(v) <= −b·S − 1
+		labelLocal: -1,       // t(v) - t(u) > 0    =>  T(u) - T(v) <= −1
 	}
 
 	// Warm start from the previous feasible probe's distances when their
 	// magnitude leaves overflow headroom for this probe's path sums
 	// (|init| + (V+2)·(max|w|+1), with the second term already certified
-	// finite by the guard above).
-	var init []int64
+	// finite by the guard above); cold start from zero otherwise.
+	if p.work == nil {
+		p.work = make([]int64, p.v)
+	}
+	dist := p.work
+	clear(dist)
 	if p.dist != nil {
 		var maxInit int64
 		for _, d := range p.dist {
-			if d > maxInit {
-				maxInit = d
-			} else if -d > maxInit {
-				maxInit = -d
-			}
+			maxInit = max(maxInit, d, -d)
 		}
 		if maxInit <= math.MaxInt64-(p.v+2)*(maxW*s+1) {
-			init = p.dist
+			copy(dist, p.dist)
 		}
 	}
 
 	g := p.g
-	res := p.cg.BellmanFordFrom(init)
-	if res.Feasible {
-		p.dist = res.Dist
+	neg := p.cs.solve(&weights, dist, p.pred)
+	if neg == nil {
+		p.dist, p.work = dist, p.dist
 		verdict := Verdict{Admissible: true}
 		if wantCerts {
-			verdict.Assignment = newAssignment(g, res.Dist, b*s)
+			verdict.Assignment = newAssignment(g, dist, b*s)
 		}
 		return verdict, nil
 	}
 
 	verdict := Verdict{Admissible: false}
 	if wantCerts {
-		w, err := witnessFromNegativeCycle(g, res.NegativeCycle)
+		w, err := witnessFromNegativeCycle(g, neg)
 		if err != nil {
 			return Verdict{}, err
 		}
@@ -190,19 +168,10 @@ func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
 }
 
 // witnessFromNegativeCycle maps a negative cycle of the constraint digraph
-// back to a violating relevant cycle of the execution graph.
-func witnessFromNegativeCycle(g *causality.Graph, neg []graphutil.Edge) (cycles.Cycle, error) {
-	steps := make([]cycles.Step, len(neg))
-	for i, ce := range neg {
-		edgeID := causality.EdgeID(ce.Label / 3)
-		switch ce.Label % 3 {
-		case labelUpper:
-			steps[i] = cycles.Step{Edge: edgeID, Forward: true}
-		case labelLower, labelLocal:
-			steps[i] = cycles.Step{Edge: edgeID, Forward: false}
-		}
-	}
-	c, err := cycles.NewCycle(g, steps)
+// (arc labels in forward order) back to a violating relevant cycle of the
+// execution graph.
+func witnessFromNegativeCycle(g *causality.Graph, neg []int32) (cycles.Cycle, error) {
+	c, err := cycles.NewCycle(g, cycleSteps(neg))
 	if err != nil {
 		return cycles.Cycle{}, fmt.Errorf("check: internal error mapping witness: %w", err)
 	}
@@ -210,4 +179,15 @@ func witnessFromNegativeCycle(g *causality.Graph, neg []graphutil.Edge) (cycles.
 		return cycles.Cycle{}, fmt.Errorf("check: internal error: witness cycle not relevant: %v", c)
 	}
 	return c, nil
+}
+
+// cycleSteps maps constraint arc labels to execution-graph cycle steps:
+// an upper-bound arc traverses its message forward, lower-bound and local
+// arcs traverse their edge backward.
+func cycleSteps(labels []int32) []cycles.Step {
+	steps := make([]cycles.Step, len(labels))
+	for i, label := range labels {
+		steps[i] = cycles.Step{Edge: causality.EdgeID(label / 3), Forward: label%3 == labelUpper}
+	}
+	return steps
 }

@@ -1,9 +1,8 @@
-// Package graphutil provides the small set of generic directed-graph
-// algorithms the ABC reproduction is built on: an edge-list digraph with
-// parallel edges, Bellman–Ford shortest paths with negative-cycle
-// extraction (the engine behind the difference-constraint ABC checker of
-// internal/check), topological sorting, and DOT export for debugging
-// space–time diagrams.
+// Package graphutil provides a small generic directed graph for tests and
+// tooling: an edge-list digraph with parallel edges, topological sorting,
+// reachability, and DOT export for debugging space–time diagrams. The
+// admissibility checker of internal/check does not use it; it solves its
+// difference constraints on its own CSR layout.
 package graphutil
 
 import "fmt"
@@ -20,16 +19,9 @@ type Edge struct {
 // Digraph is a directed multigraph over nodes 0..n-1 with int64 edge
 // weights. Parallel edges and self-loops are allowed. The zero value is an
 // empty graph with no nodes; use New to create a graph with nodes.
-//
-// A Digraph is not safe for concurrent use: BellmanFord caches its edge
-// layout inside the graph on first use (SetWeight keeps the cache;
-// AddEdge and Grow invalidate it).
 type Digraph struct {
 	n     int
 	edges []Edge
-	// plan is the cached Bellman–Ford edge layout; nil until first use,
-	// reset by topology changes.
-	plan *bfPlan
 }
 
 // New returns a digraph with n nodes and no edges.
@@ -54,23 +46,15 @@ func (g *Digraph) AddEdge(from, to int, weight int64, label int32) {
 		panic(fmt.Sprintf("graphutil: edge (%d,%d) out of range [0,%d)", from, to, g.n))
 	}
 	g.edges = append(g.edges, Edge{From: from, To: to, Weight: weight, Label: label})
-	g.plan = nil
 }
 
 // Edges returns the edge list. The caller must not modify the result.
 func (g *Digraph) Edges() []Edge { return g.edges }
 
-// SetWeight updates the weight of edge i (in insertion order). It allows
-// callers that probe the same topology under many weightings — like the
-// Stern–Brocot critical-ratio search — to reuse one graph instead of
-// rebuilding it per probe.
-func (g *Digraph) SetWeight(i int, weight int64) { g.edges[i].Weight = weight }
-
 // Grow adds k nodes and returns the index of the first new node.
 func (g *Digraph) Grow(k int) int {
 	first := g.n
 	g.n += k
-	g.plan = nil
 	return first
 }
 

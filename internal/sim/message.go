@@ -178,24 +178,26 @@ func (t *Trace) EventByPos(pos int) (Event, bool) {
 
 // TriggerOf returns the trigger message of the event at absolute trace
 // position pos, with ok = false when the event or its message is not
-// retained (or the trigger dangles).
-func (t *Trace) TriggerOf(pos int) (Message, bool) {
+// retained (or the trigger dangles). The message is returned by reference
+// into the trace; the caller must not modify it, and it is valid only
+// until the trace next grows.
+func (t *Trace) TriggerOf(pos int) (*Message, bool) {
 	i := pos - t.FirstRetained()
 	if i < 0 || i >= len(t.Events) {
-		return Message{}, false
+		return nil, false
 	}
 	if t.mode == RetainWindowMode {
 		// Msgs is parallel to Events under window retention.
 		if i >= len(t.Msgs) {
-			return Message{}, false
+			return nil, false
 		}
-		return t.Msgs[i], true
+		return &t.Msgs[i], true
 	}
 	tr := t.Events[i].Trigger
 	if tr < 0 || int(tr) >= len(t.Msgs) {
-		return Message{}, false
+		return nil, false
 	}
-	return t.Msgs[tr], true
+	return &t.Msgs[tr], true
 }
 
 // StreamHash returns the FNV-64a digest of the run's event and message

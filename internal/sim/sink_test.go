@@ -121,7 +121,7 @@ func TestRetentionEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("window: trigger of %d not retrievable", pos)
 				}
-				if want := ft.Msgs[ft.Events[pos].Trigger]; m != want {
+				if want := ft.Msgs[ft.Events[pos].Trigger]; *m != want {
 					t.Fatalf("window trigger %d = %+v, want %+v", pos, m, want)
 				}
 			}
