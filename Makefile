@@ -85,12 +85,15 @@ bench-selftest:
 # the promotion/demotion paths. FuzzReadJSON guards the trace input
 # boundary: bytes -> sim.ReadJSON -> batch and incremental checkers.
 # FuzzConstraintKernel pins the checker's constraint-CSR Bellman–Ford
-# against the generic Digraph reference it replaced.
+# against the generic Digraph reference it replaced. FuzzDeliveryQueue
+# pins the calendar delivery queue's pop order against an exact-order
+# reference heap.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=10s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=10s ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzDeliveryQueue -fuzztime=10s ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzConstraintKernel -fuzztime=10s ./internal/check
 
 # fleet-ci mirrors the CI "fleet" job: the golden-trace determinism and
@@ -129,7 +132,7 @@ workloads-ci:
 
 # topology-ci mirrors the CI "topology" job: the sparse-topology suites —
 # generator structure, ParseTopology, broadcast/self-delivery semantics,
-# scripted-send validation, heap-vs-calendar queue differential, key
+# scripted-send validation, calendar queue vs heap golden traces, key
 # collisions, and the fleet==serial sparse conformance cases — under the
 # race detector with shuffled order, plus a bench smoke at N=10k ring so
 # fan-out regressions fail fast.

@@ -57,24 +57,8 @@ func deliveryKey(t Time) float64 {
 	return f
 }
 
-// eventQueue is the delivery scheduler: push in any order, pop in the
-// exact (at, seq) order. Both implementations — heapQueue and bucketQueue
-// — realize the identical total order, so which one a run uses never
-// changes its trace (pinned by TestQueueImplementationsAgree and the
-// golden determinism grid).
-type eventQueue interface {
-	push(d delivery)
-	pop() delivery
-	// peek returns the delivery the next pop would return without
-	// consuming it (false when empty). The sharded engine's window loop
-	// uses it to find each shard's next-event time and to stop a drain at
-	// the safe horizon.
-	peek() (delivery, bool)
-	len() int
-}
-
 // deliveryLess is the exact total order (at, seq) with the cached float
-// key deciding most comparisons in one branch, as in heapQueue.less.
+// key deciding most comparisons in one branch.
 func deliveryLess(a, b delivery) bool {
 	if a.key != b.key {
 		return a.key < b.key
@@ -82,20 +66,14 @@ func deliveryLess(a, b delivery) bool {
 	return a.before(b)
 }
 
-// heapQueue is a hand-rolled binary min-heap ordered by (key, at, seq).
-// It deliberately avoids container/heap: boxing every delivery through
-// the heap.Interface `any` parameters cost one allocation per push and
-// pop, which at sparse scale was a measurable slice of the engine's
-// allocation volume. Pop order is the unique (at, seq) total order, so
-// the heap's internal layout never influences results.
+// heapQueue is the calendar's overflow: a hand-rolled binary min-heap
+// ordered by deliveryLess. It deliberately avoids container/heap: boxing
+// every delivery through the heap.Interface `any` parameters cost one
+// allocation per push and pop. Pop order is the unique (at, seq) total
+// order, so the heap's internal layout never influences results.
 type heapQueue []delivery
 
-func (q heapQueue) less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].before(q[j])
-}
+func (q heapQueue) less(i, j int) bool { return deliveryLess(q[i], q[j]) }
 
 func (q *heapQueue) push(d delivery) {
 	*q = append(*q, d)
@@ -113,15 +91,6 @@ func (q *heapQueue) pop() delivery {
 	}
 	return d
 }
-
-func (q *heapQueue) peek() (delivery, bool) {
-	if len(*q) == 0 {
-		return delivery{}, false
-	}
-	return (*q)[0], true
-}
-
-func (q *heapQueue) len() int { return len(*q) }
 
 func (q heapQueue) up(i int) {
 	for i > 0 {
@@ -163,7 +132,7 @@ const (
 	bucketQueueMinBuckets = 1024
 	bucketQueueMaxBuckets = 1 << 19
 	// bucketSortThreshold is the run length above which the drain sort
-	// radix-refines by float key before the exact comparison sort; below
+	// counting-sorts by float key before the exact comparison sort; below
 	// it a plain comparison sort of a handful of items wins.
 	bucketSortThreshold = 64
 )
@@ -177,14 +146,15 @@ func bucketsFor(n int) int {
 	return b
 }
 
-// bucketQueue is a calendar ("event wheel") queue: deliveries are binned
-// by their float key into a window of equal-width buckets; the bucket
-// being drained is sorted once by the exact (at, seq) order, later
-// arrivals merge into the sorted run by binary insertion, and deliveries
-// beyond the window wait in an overflow heap that re-seeds the window when
-// it empties. At sparse scale the heap's O(log n) rational-flavored sift
-// per operation becomes the engine bottleneck; the calendar amortizes to
-// O(1) routing per push and a small exact sort per bucket.
+// bucketQueue is the engine's delivery queue: push in any order, pop in
+// the exact (at, seq) order. It is a calendar ("event wheel") queue:
+// deliveries are binned by their float key into a window of equal-width
+// buckets; the bucket being drained is sorted once by the exact (at, seq)
+// order, later arrivals merge into the sorted run by binary insertion, and
+// deliveries beyond the window wait in an overflow heap that re-seeds the
+// window when it empties. Routing costs O(1) per push and each bucket
+// needs one small exact sort, where a heap pays an O(log n) sift of
+// rational-flavored comparisons per operation.
 //
 // Exactness: bucket routing is a monotone function of the (monotone) float
 // key, so an earlier bucket never holds a delivery that must pop after one
@@ -197,10 +167,12 @@ func bucketsFor(n int) int {
 // keys span nothing at rebuild time (every wake-up at t = 0) the width
 // falls back to 1 and the whole run can land in a handful of buckets,
 // turning each drain into a sort of 10^5+ deliveries. sortRun handles
-// that case by radix-refining oversized runs on the float key — an O(m)
-// distribution pass into per-drain bins, recursively, before the exact
-// sort of each small bin — so the drain cost stays near-linear however
-// badly the window width guessed.
+// that case by refining oversized runs with a counting sort on the float
+// key — an O(m) pass into reused scratch — before the exact sort of each
+// small bin, so the drain cost stays near-linear however badly the window
+// width guessed.
+//
+// The zero value is ready once reset has sized the wheel.
 type bucketQueue struct {
 	buckets [][]delivery
 	over    heapQueue // beyond the window (or before it is primed)
@@ -212,23 +184,25 @@ type bucketQueue struct {
 	cur    []delivery
 	curIdx int
 
-	// radix-refinement scratch, recycled across drains.
-	bins [][]delivery
+	// counting-sort refinement scratch, recycled across drains: the
+	// per-bin histogram (then bin end offsets) and the scatter target.
+	hist    []int32
+	scatter []delivery
 
 	size   int
 	primed bool
 }
 
-func newBucketQueue() *bucketQueue {
-	return &bucketQueue{buckets: make([][]delivery, bucketQueueMinBuckets)}
-}
-
-// reset clears the queue for reuse, retaining bucket storage. n is the
-// system size the next run schedules for; the wheel grows to match.
+// reset clears the queue for reuse, retaining storage. n is the system
+// size the next run schedules for; the wheel takes exactly bucketsFor(n)
+// buckets, so a run after a much larger one does not drain through the
+// larger run's mostly empty wheel.
 func (q *bucketQueue) reset(n int) {
-	if want := bucketsFor(n); want > len(q.buckets) {
+	want := bucketsFor(n)
+	if cap(q.buckets) < want {
 		q.buckets = make([][]delivery, want)
 	}
+	q.buckets = q.buckets[:want]
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
 	}
@@ -300,7 +274,9 @@ func (q *bucketQueue) pop() delivery {
 }
 
 // peek primes the drain position exactly like pop and returns the head
-// without consuming it.
+// without consuming it (false when empty). The sharded engine's window
+// loop uses it to find each shard's next-event time and to stop a drain
+// at the safe horizon.
 func (q *bucketQueue) peek() (delivery, bool) {
 	if q.size == 0 {
 		return delivery{}, false
@@ -332,12 +308,12 @@ func (q *bucketQueue) advance() {
 
 // sortRun orders q.cur by the exact (at, seq) order. Small runs sort
 // directly; oversized runs — the product of a degenerate window width —
-// are first distributed into ~len/4 bins by float key (monotone, so bin
-// order respects the exact order and only bin-mates need comparing), then
-// each bin is sorted and copied back over the run in bin order. The
-// distribution pass is O(m); key-identical runs (where no float width can
-// discriminate) fall through to the comparison sort, which resolves them
-// on the cheap seq tie-break.
+// are first counting-sorted into ~len/4 bins by float key (monotone, so
+// bin order respects the exact order and only bin-mates need comparing):
+// a histogram pass, a prefix sum, a scatter into the reused scratch, then
+// the exact sort of each bin segment and one copy back over the run.
+// Key-identical runs (where no float width can discriminate) fall through
+// to the comparison sort, which resolves them on the cheap seq tie-break.
 func (q *bucketQueue) sortRun() {
 	run := q.cur
 	if len(run) <= bucketSortThreshold {
@@ -361,23 +337,38 @@ func (q *bucketQueue) sortRun() {
 		slices.SortFunc(run, cmpDelivery)
 		return
 	}
-	if len(q.bins) < nbins {
-		q.bins = make([][]delivery, nbins)
+	if cap(q.hist) < nbins {
+		q.hist = make([]int32, nbins)
 	}
+	hist := q.hist[:nbins]
+	clear(hist)
+	for _, d := range run {
+		hist[int((d.key-lo)/width)]++
+	}
+	// Exclusive prefix sum: hist[b] becomes bin b's start offset; the
+	// scatter then advances it to the bin's end.
+	var off int32
+	for b, c := range hist {
+		hist[b] = off
+		off += c
+	}
+	if cap(q.scatter) < len(run) {
+		q.scatter = make([]delivery, len(run))
+	}
+	out := q.scatter[:len(run)]
 	for _, d := range run {
 		b := int((d.key - lo) / width)
-		q.bins[b] = append(q.bins[b], d)
+		out[hist[b]] = d
+		hist[b]++
 	}
-	pos := 0
-	for i := 0; i < nbins; i++ {
-		bin := q.bins[i]
-		if len(bin) == 0 {
-			continue
+	start := 0
+	for _, end := range hist {
+		if int(end)-start > 1 {
+			slices.SortFunc(out[start:end], cmpDelivery)
 		}
-		slices.SortFunc(bin, cmpDelivery)
-		pos += copy(run[pos:], bin)
-		q.bins[i] = bin[:0]
+		start = int(end)
 	}
+	copy(run, out)
 }
 
 // bucketSortBins picks the refinement bin count: about a quarter of the
@@ -394,8 +385,8 @@ func bucketSortBins(m int) int {
 // rebuild starts a fresh window at the overflow minimum. The width spreads
 // the overflow's key span across the buckets; degenerate spans (all keys
 // equal, or spans that overflow float64) fall back to width 1, which
-// degrades to sorted-run behavior but stays exact — sortRun's radix
-// refinement keeps even that case near-linear.
+// degrades to sorted-run behavior but stays exact — sortRun's counting
+// sort keeps even that case near-linear.
 func (q *bucketQueue) rebuild() {
 	q.primed = true
 	q.base = q.over[0].key

@@ -18,21 +18,26 @@ import (
 // mode: every primed delivery at t = 0, exactly what a simulation's wake-up
 // burst looks like — the first rebuild then sees a zero key span, falls
 // back to width 1, and lands the entire population in one bucket. Before
-// the sortRun radix refinement and the size-adaptive wheel
+// the sortRun counting-sort refinement and the size-adaptive wheel
 // (bucketsFor), that one bucket cost a single reflective sort of 10^5+
 // deliveries per drain; with them the drain stays near-linear, which this
-// benchmark pins against the heap baseline.
+// benchmark pins against the heap baseline (the calendar's overflow heap
+// run as a whole queue).
 func BenchmarkDeliveryQueue(b *testing.B) {
 	const total = 10_000_000
 	const inflight = 1 << 17
 
+	type queue interface {
+		push(d delivery)
+		pop() delivery
+	}
 	impls := []struct {
 		name string
-		mk   func(n int) eventQueue
+		mk   func(n int) queue
 	}{
-		{"heap", func(int) eventQueue { return new(heapQueue) }},
-		{"calendar", func(n int) eventQueue {
-			q := newBucketQueue()
+		{"heap", func(int) queue { return new(heapQueue) }},
+		{"calendar", func(n int) queue {
+			q := new(bucketQueue)
 			q.reset(n)
 			return q
 		}},
@@ -47,6 +52,7 @@ func BenchmarkDeliveryQueue(b *testing.B) {
 	for _, impl := range impls {
 		for _, load := range loads {
 			b.Run(impl.name+"/"+load.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := impl.mk(inflight)
 					rng := rand.New(rand.NewSource(1))
@@ -73,7 +79,7 @@ func BenchmarkDeliveryQueue(b *testing.B) {
 						// the same shape UniformDelay feeds the engine.
 						push(d.at.Add(rat.New(4+int64(rng.Intn(3)), 4)))
 					}
-					for q.len() > 0 {
+					for j := 0; j < inflight; j++ {
 						q.pop()
 					}
 				}

@@ -62,9 +62,7 @@ type windowEvent struct {
 type shardState struct {
 	lo, hi int // owned process ID range [lo, hi)
 
-	heapQ  heapQueue
-	wheelQ *bucketQueue
-	queue  eventQueue // points at heapQ or wheelQ per Config.Queue
+	queue bucketQueue // the shard's calendar, sized to its population
 
 	// inbox receives deliveries routed to this shard during the serial
 	// phases (setup and merge); the shard flushes it into its queue at
@@ -134,19 +132,7 @@ func (e *Engine) setupShards(cfg Config, links *Links) {
 	for i := range e.shardPool {
 		s := &e.shardPool[i]
 		s.lo, s.hi = bounds[i], bounds[i+1]
-		// The queue-kind heuristic applies per shard population; the
-		// choice never affects results (see eventQueue).
-		n := s.hi - s.lo
-		if cfg.Queue == QueueBucket || (cfg.Queue == QueueAuto && n >= autoBucketN) {
-			if s.wheelQ == nil {
-				s.wheelQ = newBucketQueue()
-			}
-			s.wheelQ.reset(n)
-			s.queue = s.wheelQ
-		} else {
-			s.heapQ = s.heapQ[:0]
-			s.queue = &s.heapQ
-		}
+		s.queue.reset(s.hi - s.lo)
 		s.inbox = s.inbox[:0]
 		s.window = s.window[:0]
 		s.sends = s.sends[:0]

@@ -295,10 +295,9 @@ func TestShardedFallbacks(t *testing.T) {
 	}
 }
 
-// TestShardedQueueKinds runs the shard grid under both forced queue
-// implementations: the per-shard queue choice must be invisible, like the
-// engine-level one.
-func TestShardedQueueKinds(t *testing.T) {
+// TestShardedQueueMatchesSerial: per-shard calendar queues, each sized to
+// its shard's population, reproduce the serial engine's trace.
+func TestShardedQueueMatchesSerial(t *testing.T) {
 	cfg := Config{
 		N: 40,
 		Spawn: func(ProcessID) Process {
@@ -317,18 +316,18 @@ func TestShardedQueueKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serial.Trace.Hash()
-	for _, kind := range []QueueKind{QueueHeap, QueueBucket} {
-		for _, shards := range []int{2, 4} {
-			scfg := cfg
-			scfg.Queue = kind
-			scfg.Shards = shards
-			res, err := Run(scfg)
-			if err != nil {
-				t.Fatalf("queue=%v shards=%d: %v", kind, shards, err)
-			}
-			if res.Trace.Hash() != want {
-				t.Errorf("queue=%v shards=%d: trace differs from serial", kind, shards)
-			}
+	for _, shards := range []int{2, 4} {
+		scfg := cfg
+		scfg.Shards = shards
+		res, err := Run(scfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.Shards != shards {
+			t.Fatalf("shards=%d: ran with Shards = %d", shards, res.Shards)
+		}
+		if res.Trace.Hash() != want {
+			t.Errorf("shards=%d: trace differs from serial", shards)
 		}
 	}
 }

@@ -25,11 +25,6 @@ type Config struct {
 	// scanning all N processes per send. Self-delivery is always available
 	// regardless of topology, and wake-up delivery is unaffected by it.
 	Topology Topology
-	// Queue selects the delivery-queue implementation; the default
-	// QueueAuto picks by system size. The choice never affects results:
-	// every implementation realizes the same exact (time, seq) delivery
-	// order.
-	Queue QueueKind
 	// Seed seeds the deterministic random source used by delay policies.
 	Seed int64
 	// MaxEvents bounds the number of receive events; 0 means the default
@@ -107,21 +102,3 @@ func Run(cfg Config) (*Result, error) {
 // Wakeup is the payload of the external message that triggers each
 // process's first computing step.
 type Wakeup struct{}
-
-// QueueKind selects the Engine's delivery-queue implementation.
-type QueueKind int
-
-const (
-	// QueueAuto uses the binary heap for small systems and the bucketed
-	// calendar queue once N reaches autoBucketN.
-	QueueAuto QueueKind = iota
-	// QueueHeap forces the binary min-heap.
-	QueueHeap
-	// QueueBucket forces the bucketed calendar queue.
-	QueueBucket
-)
-
-// autoBucketN is the system size at which QueueAuto switches to the
-// bucketed queue: below it the heap's constants win, above it the heap's
-// per-operation sift cost does not.
-const autoBucketN = 4096

@@ -369,80 +369,109 @@ func TestTopologySizeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestQueueImplementationsAgree is the heap-vs-calendar differential: both
-// delivery queues must realize the identical exact (time, seq) order, so
-// forcing either implementation yields bit-identical traces. Zero delays
-// maximize time ties; growing delays spread keys across many calendar
-// windows.
+// TestQueueImplementationsAgree pins the calendar queue to the traces the
+// retired binary-heap engine queue produced: both realize the exact
+// (time, seq) delivery order, so the calendar must reproduce the heap's
+// per-config trace hashes bit for bit. The golden values were recorded
+// with the heap queue at N=40. Zero delays maximize time ties; growing
+// delays spread keys across many calendar windows.
 func TestQueueImplementationsAgree(t *testing.T) {
-	delays := []struct {
-		name   string
-		policy DelayPolicy
-	}{
-		{"uniform", UniformDelay{Min: rat.One, Max: rat.New(3, 2)}},
-		{"zero", ConstantDelay{D: rat.Zero}},
-		{"growing", GrowingDelay{Base: rat.One, Rate: rat.New(1, 3), Spread: rat.FromInt(2)}},
+	delays := map[string]DelayPolicy{
+		"uniform": UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+		"zero":    ConstantDelay{D: rat.Zero},
+		"growing": GrowingDelay{Base: rat.One, Rate: rat.New(1, 3), Spread: rat.FromInt(2)},
 	}
-	topos := []struct {
-		name string
-		topo Topology
-	}{
-		{"full", nil},
-		{"ring", Ring(40)},
-		{"torus", Torus(5, 8)},
+	topos := map[string]Topology{
+		"full":  nil,
+		"ring":  Ring(40),
+		"torus": Torus(5, 8),
 	}
-	for _, dl := range delays {
-		for _, tp := range topos {
-			for seed := int64(0); seed < 3; seed++ {
-				cfg := Config{
-					N: 40, Spawn: broadcastSpawn(4),
-					Topology: tp.topo, Delays: dl.policy,
-					Seed: seed, MaxEvents: 30000,
-				}
-				heapCfg, bucketCfg := cfg, cfg
-				heapCfg.Queue = QueueHeap
-				bucketCfg.Queue = QueueBucket
-				rh, err := Run(heapCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := Run(bucketCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rh.Trace.Hash() != rb.Trace.Hash() {
-					t.Errorf("delay=%s topo=%s seed=%d: heap %016x != bucket %016x (%d vs %d events)",
-						dl.name, tp.name, seed, rh.Trace.Hash(), rb.Trace.Hash(),
-						len(rh.Trace.Events), len(rb.Trace.Events))
-				}
-			}
+	golden := []struct {
+		delay, topo string
+		seed        int64
+		hash        uint64
+		events      int
+	}{
+		{"uniform", "full", 0, 0x93b49c6d0027dbdd, 6440},
+		{"uniform", "full", 1, 0x0ffc8766930c7a33, 6440},
+		{"uniform", "full", 2, 0x0214da58673ba403, 6440},
+		{"uniform", "ring", 0, 0xd48d26b63e4bcbad, 360},
+		{"uniform", "ring", 1, 0x0fb364250551aa33, 360},
+		{"uniform", "ring", 2, 0x6fe56b13672f0ced, 360},
+		{"uniform", "torus", 0, 0xfad7e69030708616, 840},
+		{"uniform", "torus", 1, 0xacf1a43e39243613, 840},
+		{"uniform", "torus", 2, 0xfa5bad331c315d08, 840},
+		{"zero", "full", 0, 0x3620d5c705ca656b, 6440},
+		{"zero", "full", 1, 0x3620d5c705ca656b, 6440},
+		{"zero", "full", 2, 0x3620d5c705ca656b, 6440},
+		{"zero", "ring", 0, 0xdfd3c78e77cd6403, 360},
+		{"zero", "ring", 1, 0xdfd3c78e77cd6403, 360},
+		{"zero", "ring", 2, 0xdfd3c78e77cd6403, 360},
+		{"zero", "torus", 0, 0x63a92fffa6319af1, 840},
+		{"zero", "torus", 1, 0x63a92fffa6319af1, 840},
+		{"zero", "torus", 2, 0x63a92fffa6319af1, 840},
+		{"growing", "full", 0, 0xd564f9dbe3d2171f, 6440},
+		{"growing", "full", 1, 0x978cf508500d1493, 6440},
+		{"growing", "full", 2, 0xe552f9bfcea2b871, 6440},
+		{"growing", "ring", 0, 0xb6c28da843b12b65, 360},
+		{"growing", "ring", 1, 0x07b78b5988a041df, 360},
+		{"growing", "ring", 2, 0xcc61fd20b95daec5, 360},
+		{"growing", "torus", 0, 0xc87b198776996f44, 840},
+		{"growing", "torus", 1, 0x001290ad127b1e20, 840},
+		{"growing", "torus", 2, 0xbfffe126f23837fe, 840},
+	}
+	for _, g := range golden {
+		res, err := Run(Config{
+			N: 40, Spawn: broadcastSpawn(4),
+			Topology: topos[g.topo], Delays: delays[g.delay],
+			Seed: g.seed, MaxEvents: 30000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := res.Trace.Hash(); h != g.hash || len(res.Trace.Events) != g.events {
+			t.Errorf("delay=%s topo=%s seed=%d: hash %016x (%d events), heap golden %016x (%d events)",
+				g.delay, g.topo, g.seed, h, len(res.Trace.Events), g.hash, g.events)
 		}
 	}
 }
 
-// TestEngineReuseAcrossQueueKinds: one pooled Engine alternating between
-// queue implementations stays hermetic.
-func TestEngineReuseAcrossQueueKinds(t *testing.T) {
-	e := NewEngine()
-	cfg := Config{
+// TestEngineReuseQueueResize: a pooled Engine that ran a large system
+// sizes its calendar wheel back down for the next, small one — a wheel
+// that only grew would drain every later run through the large run's
+// mostly empty buckets — and the small run's trace equals a fresh
+// engine's (routing is monotone at any wheel width).
+func TestEngineReuseQueueResize(t *testing.T) {
+	small := Config{
 		N: 10, Spawn: broadcastSpawn(3),
 		Topology: Ring(10),
 		Delays:   UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
 		Seed:     9,
 	}
-	want := uint64(0)
-	for i := 0; i < 6; i++ {
-		c := cfg
-		c.Queue = []QueueKind{QueueHeap, QueueBucket}[i%2]
-		res, err := e.Run(c)
+	fresh, err := Run(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bigN = 1 << 14
+	big := small
+	big.N, big.Topology, big.Spawn = bigN, Ring(bigN), broadcastSpawn(1)
+	e := NewEngine()
+	for i := 0; i < 2; i++ {
+		if _, err := e.Run(big); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(e.queue.buckets), bucketsFor(bigN); got != want {
+			t.Fatalf("after N=%d: %d buckets, want %d", bigN, got, want)
+		}
+		res, err := e.Run(small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := res.Trace.Hash()
-		if i == 0 {
-			want = h
-		} else if h != want {
-			t.Fatalf("run %d (queue %v): hash %016x, want %016x", i, c.Queue, h, want)
+		if got, want := len(e.queue.buckets), bucketsFor(small.N); got != want {
+			t.Fatalf("after N=%d: %d buckets, want %d", small.N, got, want)
+		}
+		if h, want := res.Trace.Hash(), fresh.Trace.Hash(); h != want {
+			t.Fatalf("round %d: reused-engine hash %016x, fresh %016x", i, h, want)
 		}
 	}
 }
