@@ -137,7 +137,7 @@ workloads-ci:
 # race detector with shuffled order, plus a bench smoke at N=10k ring so
 # fan-out regressions fail fast.
 topology-ci:
-	$(GO) test -race -shuffle=on -run 'Topo|Sparse|Queue|Broadcast|Island|Script|PointKey|Ring|Torus|Regular|ScaleFree|Links' ./internal/sim ./internal/runner ./internal/workload/...
+	$(GO) test -race -shuffle=on -run 'Topo|Sparse|Queue|Broadcast|Island|Script|ParamGridKey|Ring|Torus|Regular|ScaleFree|Links' ./internal/sim ./internal/runner ./internal/workload/...
 	$(GO) test -run=NONE -bench='BenchmarkSimulator/topo=ring/^n=10000$$' -benchmem -benchtime=10x .
 
 # protocols-ci mirrors the CI "protocols" job: the consensus and Ω

@@ -86,22 +86,25 @@ func checkAgreement(t *testing.T, ctx string, tr *sim.Trace, j int, inc *Increme
 func TestIncrementalDifferential(t *testing.T) {
 	type topo struct {
 		name string
-		fn   func(n int) sim.Topology
+		fn   func(n int) *sim.Links
 	}
 	topos := []topo{
-		{"full", func(int) sim.Topology { return nil }},
-		{"ring", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-				return to == (from+1)%sim.ProcessID(n) || to == from
-			})
+		{"full", func(int) *sim.Links { return nil }},
+		{"ring", sim.Ring},
+		{"star", func(n int) *sim.Links { // hub 0 linked both ways to every spoke
+			adj := make([][]sim.ProcessID, n)
+			for p := 1; p < n; p++ {
+				adj[0] = append(adj[0], sim.ProcessID(p))
+				adj[p] = []sim.ProcessID{0}
+			}
+			return sim.NewLinks(n, adj)
 		}},
-		{"star", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-				return from == 0 || to == 0 || from == to
-			})
-		}},
-		{"pair", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool { return from/2 == to/2 })
+		{"pair", func(n int) *sim.Links { // 2k and 2k+1 linked both ways
+			adj := make([][]sim.ProcessID, n)
+			for p := 0; p+1 < n; p += 2 {
+				adj[p], adj[p+1] = []sim.ProcessID{sim.ProcessID(p + 1)}, []sim.ProcessID{sim.ProcessID(p)}
+			}
+			return sim.NewLinks(n, adj)
 		}},
 	}
 	delays := []struct {

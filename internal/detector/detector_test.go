@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/causality"
@@ -278,6 +279,22 @@ func TestOmegaRingWithoutRelayStrands(t *testing.T) {
 	}
 }
 
+// coreOverlayReference is the overlay as a link predicate — the form
+// CoreTopology had before it built CSR rows — kept as the oracle the
+// *sim.Links result is compared against.
+func coreOverlayReference(base *sim.Links, core []sim.ProcessID) func(from, to sim.ProcessID) bool {
+	inCore := make(map[sim.ProcessID]bool, len(core))
+	for _, q := range core {
+		inCore[q] = true
+	}
+	return func(from, to sim.ProcessID) bool {
+		if inCore[from] && inCore[to] {
+			return true
+		}
+		return base.Linked(from, to)
+	}
+}
+
 func TestCoreTopology(t *testing.T) {
 	core := []sim.ProcessID{0, 1, 2}
 	if CoreTopology(nil, core) != nil {
@@ -301,6 +318,40 @@ func TestCoreTopology(t *testing.T) {
 	}
 	if topo.Linked(0, 4) {
 		t.Error("core member 0 linked to distant follower 4")
+	}
+
+	// Every ordered pair agrees with the predicate reference, and every
+	// row is strictly ascending (sorted, no duplicates) — the order
+	// Env.Broadcast emits sends in.
+	for _, spec := range []string{"ring", "torus", "regular/3", "scalefree/2", "islands/4"} {
+		for _, core := range [][]sim.ProcessID{{0, 1, 2}, {0, 1, 2, 3, 4}, {3, 7, 11}} {
+			base, err := sim.ParseTopology(spec, 16, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := CoreTopology(base, core), coreOverlayReference(base, core)
+			if fresh, _ := sim.ParseTopology(spec, 16, 1); !reflect.DeepEqual(base, fresh) {
+				t.Fatalf("%s core=%v: CoreTopology modified its base", spec, core)
+			}
+			if got.N() != base.N() {
+				t.Fatalf("%s core=%v: overlay spans %d processes, base %d", spec, core, got.N(), base.N())
+			}
+			for from := sim.ProcessID(0); int(from) < got.N(); from++ {
+				for to := sim.ProcessID(0); int(to) < got.N(); to++ {
+					if got.Linked(from, to) != want(from, to) {
+						t.Errorf("%s core=%v: Linked(%d, %d) = %v, reference %v",
+							spec, core, from, to, got.Linked(from, to), want(from, to))
+					}
+				}
+				row := got.Out(from)
+				for i := 1; i < len(row); i++ {
+					if row[i] <= row[i-1] {
+						t.Errorf("%s core=%v: row %d = %v is not strictly ascending", spec, core, from, row)
+						break
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -184,20 +184,19 @@ func (o *OmegaFollower) Step(env *sim.Env, msg sim.Message) {
 // between every two core members, which sparse fabrics do not provide.
 // The overlay models the standard deployment — a small designated
 // monitoring core on dedicated interconnect, with leader announcements
-// flooding the ordinary (sparse) network via Relay. A nil base (fully
-// connected) is returned unchanged.
-func CoreTopology(base sim.Topology, core []sim.ProcessID) sim.Topology {
+// flooding the ordinary (sparse) network via Relay. Every process keeps
+// its base out-links and each core member also links to the whole core.
+// A nil base (fully connected) is returned unchanged.
+func CoreTopology(base *sim.Links, core []sim.ProcessID) *sim.Links {
 	if base == nil {
 		return nil
 	}
-	inCore := make(map[sim.ProcessID]bool, len(core))
-	for _, q := range core {
-		inCore[q] = true
+	adj := make([][]sim.ProcessID, base.N())
+	for p := range adj {
+		adj[p] = base.Out(sim.ProcessID(p))
 	}
-	return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-		if inCore[from] && inCore[to] {
-			return true
-		}
-		return base.Linked(from, to)
-	})
+	for _, q := range core {
+		adj[q] = append(append([]sim.ProcessID(nil), adj[q]...), core...)
+	}
+	return sim.NewLinks(base.N(), adj)
 }

@@ -1,8 +1,9 @@
 // Package graphutil provides a small generic directed graph for tests and
-// tooling: an edge-list digraph with parallel edges, topological sorting,
-// reachability, and DOT export for debugging space–time diagrams. The
-// admissibility checker of internal/check does not use it; it solves its
-// difference constraints on its own CSR layout.
+// tooling: an edge-list digraph with parallel edges, topological sorting
+// (the causality tests' independent acyclicity oracle), and DOT export
+// for debugging space–time diagrams. The admissibility checker of
+// internal/check does not use it; it solves its difference constraints on
+// its own CSR layout, and its tests keep a Digraph-based reference solver.
 package graphutil
 
 import "fmt"
@@ -36,9 +37,6 @@ func New(n int) *Digraph {
 // N returns the number of nodes.
 func (g *Digraph) N() int { return g.n }
 
-// M returns the number of edges.
-func (g *Digraph) M() int { return len(g.edges) }
-
 // AddEdge appends an edge from -> to with the given weight and label.
 // It panics if either endpoint is out of range.
 func (g *Digraph) AddEdge(from, to int, weight int64, label int32) {
@@ -50,13 +48,6 @@ func (g *Digraph) AddEdge(from, to int, weight int64, label int32) {
 
 // Edges returns the edge list. The caller must not modify the result.
 func (g *Digraph) Edges() []Edge { return g.edges }
-
-// Grow adds k nodes and returns the index of the first new node.
-func (g *Digraph) Grow(k int) int {
-	first := g.n
-	g.n += k
-	return first
-}
 
 // adjacency returns per-node outgoing edge index lists.
 func (g *Digraph) adjacency() [][]int32 {

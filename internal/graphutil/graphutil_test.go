@@ -24,15 +24,6 @@ func TestAddEdgeRangeCheck(t *testing.T) {
 	g.AddEdge(0, 2, 1, 0)
 }
 
-func TestGrow(t *testing.T) {
-	g := New(3)
-	first := g.Grow(2)
-	if first != 3 || g.N() != 5 {
-		t.Errorf("Grow: first=%d N=%d, want 3, 5", first, g.N())
-	}
-	g.AddEdge(4, 0, 1, 0) // must not panic
-}
-
 func TestTopoSort(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 0, 0)
@@ -63,34 +54,6 @@ func TestTopoSortCycle(t *testing.T) {
 	}
 	if g.IsDAG() {
 		t.Error("IsDAG true for cyclic graph")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 0, 0)
-	g.AddEdge(1, 2, 0, 0)
-	g.AddEdge(3, 4, 0, 0)
-	seen := g.Reachable(0)
-	want := []bool{true, true, true, false, false}
-	for v, w := range want {
-		if seen[v] != w {
-			t.Errorf("Reachable(0)[%d] = %v, want %v", v, seen[v], w)
-		}
-	}
-	seen = g.Reachable(0, 3)
-	if !seen[4] {
-		t.Error("multi-source reachability missed node 4")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 7, 42)
-	r := g.Reverse()
-	e := r.Edges()[0]
-	if e.From != 1 || e.To != 0 || e.Weight != 7 || e.Label != 42 {
-		t.Errorf("Reverse edge = %+v", e)
 	}
 }
 

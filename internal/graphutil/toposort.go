@@ -40,41 +40,3 @@ func (g *Digraph) IsDAG() bool {
 	_, ok := g.TopoSort()
 	return ok
 }
-
-// Reachable returns the set of nodes reachable from the given start nodes
-// (inclusive) following edge direction. The result is a boolean vector
-// indexed by node. This is the primitive behind causal-past computations.
-func (g *Digraph) Reachable(starts ...int) []bool {
-	adj := g.adjacency()
-	seen := make([]bool, g.n)
-	stack := make([]int, 0, len(starts))
-	for _, s := range starts {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range adj[v] {
-			w := g.edges[ei].To
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// Reverse returns a new digraph with every edge reversed. Weights and
-// labels are preserved.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.n)
-	r.edges = make([]Edge, len(g.edges))
-	for i, e := range g.edges {
-		r.edges[i] = Edge{From: e.To, To: e.From, Weight: e.Weight, Label: e.Label}
-	}
-	return r
-}

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/rat"
@@ -45,35 +46,40 @@ func goldenJobs(t testing.TB) []Job {
 	// legalTarget picks a topology-legal scripted-send recipient for the
 	// Byzantine process: its first out-neighbor, or itself when isolated
 	// (self-sends are always legal).
-	legalTarget := func(topo sim.Topology, from sim.ProcessID, n int) sim.ProcessID {
+	legalTarget := func(topo *sim.Links, from sim.ProcessID) sim.ProcessID {
 		if topo == nil {
 			return 0
 		}
-		for to := sim.ProcessID(0); int(to) < n; to++ {
-			if to != from && topo.Linked(from, to) {
+		for _, to := range topo.Out(from) {
+			if to != from {
 				return to
 			}
 		}
 		return from
 	}
-	grid := Grid{
-		Name:   "golden",
-		Seeds:  Seeds(0, 4),
-		Ns:     []int{2, 5},
-		Delays: []string{"uniform", "growing", "perlink", "override"},
-		Faults: []string{"none", "mixed"},
-		// "ringfn" is the predicate-backed ring (the TopologyFunc path);
-		// the rest are CSR generators parsed by sim.ParseTopology,
-		// including a disconnected one (islands/2).
-		Topologies: []string{"full", "ringfn", "ring", "torus", "regular/1", "scalefree/1", "islands/2"},
-		Make: func(p Point) (Job, error) {
+	grid := ParamGrid{
+		Name: "golden",
+		Axes: []Axis{
+			// Topologies are parsed by sim.ParseTopology, including a
+			// disconnected one (islands/2).
+			{Param: "topology", Values: []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"}},
+			{Param: "fault", Values: []string{"none", "mixed"}},
+			{Param: "delay", Values: []string{"uniform", "growing", "perlink", "override"}},
+			{Param: "n", Values: []string{"2", "5"}},
+		},
+		Seeds: Seeds(0, 4),
+		Make: func(p map[string]string, seed int64) (Job, error) {
+			n, err := strconv.Atoi(p["n"])
+			if err != nil {
+				return Job{}, err
+			}
 			cfg := sim.Config{
-				N:         p.N,
+				N:         n,
 				Spawn:     spawn(5),
-				Seed:      p.Seed,
+				Seed:      seed,
 				MaxEvents: 50000,
 			}
-			switch p.Delay {
+			switch p["delay"] {
 			case "uniform":
 				cfg.Delays = sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)}
 			case "growing":
@@ -95,25 +101,14 @@ func goldenJobs(t testing.TB) []Job {
 					Override: sim.UniformDelay{Min: rat.FromInt(3), Max: rat.FromInt(5)},
 				}
 			}
-			switch p.Topology {
-			case "full":
-			case "ringfn":
-				n := p.N
-				cfg.Topology = sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-					return to == (from+1)%sim.ProcessID(n) || from == to
-				})
-			default:
-				topo, err := sim.ParseTopology(p.Topology, p.N, p.Seed)
-				if err != nil {
-					return Job{}, err
-				}
-				cfg.Topology = topo
+			if cfg.Topology, err = sim.ParseTopology(p["topology"], n, seed); err != nil {
+				return Job{}, err
 			}
-			if p.Fault == "mixed" {
+			if p["fault"] == "mixed" {
 				cfg.Faults = map[sim.ProcessID]sim.Fault{
 					0: sim.Crash(3),
 					1: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
-						{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1, p.N), Payload: "forged"},
+						{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1), Payload: "forged"},
 					}},
 				}
 			}

@@ -50,6 +50,38 @@ func TestParamGridExpansion(t *testing.T) {
 	}
 }
 
+// TestParamGridKeyNoCollisions pins the name=value segment format of
+// ParamGrid keys. A bare-value join would let distinct cells collide once
+// values contain "/" — exactly what generated topology specs like
+// "torus/4x4" do — because a slash inside a value would be
+// indistinguishable from a segment separator.
+func TestParamGridKeyNoCollisions(t *testing.T) {
+	g := ParamGrid{
+		Name: "pg",
+		Axes: []Axis{
+			{Param: "delay", Values: []string{"a/b", "a", ""}},
+			{Param: "fault", Values: []string{"b", "torus", ""}},
+			{Param: "topology", Values: []string{"b", "torus/4x4", "4x4", ""}},
+		},
+		Seeds: []int64{1},
+		Make:  func(map[string]string, int64) (Job, error) { return Job{}, nil },
+	}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 36 {
+		t.Fatalf("expanded %d cells, want 36", len(jobs))
+	}
+	seen := make(map[string]int, len(jobs))
+	for i, job := range jobs {
+		if prev, dup := seen[job.Key]; dup {
+			t.Errorf("key %q names cells %d and %d", job.Key, prev, i)
+		}
+		seen[job.Key] = i
+	}
+}
+
 func TestParamGridDefaultsAndErrors(t *testing.T) {
 	g := ParamGrid{Name: "pg"}
 	if _, err := g.Jobs(); err == nil {

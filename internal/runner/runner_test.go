@@ -123,78 +123,6 @@ func TestTraceOnlyJobs(t *testing.T) {
 	}
 }
 
-func TestGridExpansionOrderAndKeys(t *testing.T) {
-	g := Grid{
-		Name:       "g",
-		Seeds:      []int64{0, 1},
-		Ns:         []int{2, 3},
-		Delays:     []string{"fast", "slow"},
-		Topologies: []string{"full"},
-		Make: func(p Point) (Job, error) {
-			return Job{Cfg: broadcastCfg(p.N, 2, p.Seed)}, nil
-		},
-	}
-	jobs, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 8 {
-		t.Fatalf("got %d jobs, want 8", len(jobs))
-	}
-	// Row-major, seed innermost: first four cells cover delay "fast".
-	want := []string{
-		"g/n=2/seed=0/delay=fast/topology=full", "g/n=2/seed=1/delay=fast/topology=full",
-		"g/n=3/seed=0/delay=fast/topology=full", "g/n=3/seed=1/delay=fast/topology=full",
-		"g/n=2/seed=0/delay=slow/topology=full", "g/n=2/seed=1/delay=slow/topology=full",
-		"g/n=3/seed=0/delay=slow/topology=full", "g/n=3/seed=1/delay=slow/topology=full",
-	}
-	for i, j := range jobs {
-		if j.Key != want[i] {
-			t.Errorf("job %d key %q, want %q", i, j.Key, want[i])
-		}
-	}
-
-	// Expansion is pure: a second call yields the same keys.
-	again, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if jobs[i].Key != again[i].Key {
-			t.Errorf("grid expansion unstable at %d", i)
-		}
-	}
-
-	gridErr := errors.New("no such cell")
-	g.Make = func(p Point) (Job, error) { return Job{}, gridErr }
-	if _, err := g.Jobs(); !errors.Is(err, gridErr) {
-		t.Errorf("grid error not propagated: %v", err)
-	}
-}
-
-// TestPointKeyNoCollisions pins the name=value segment format of Point.Key.
-// The former bare-value join made distinct points collide once axis values
-// contained "/" — exactly what generated topology specs like "torus/4x4"
-// do — because a slash inside a value was indistinguishable from a segment
-// separator.
-func TestPointKeyNoCollisions(t *testing.T) {
-	points := []Point{
-		{Seed: 1, N: 4, Delay: "a/b"},
-		{Seed: 1, N: 4, Delay: "a", Fault: "b"},
-		{Seed: 1, N: 4, Delay: "a", Topology: "b"},
-		{Seed: 1, N: 4, Topology: "torus/4x4"},
-		{Seed: 1, N: 4, Fault: "torus", Topology: "4x4"},
-	}
-	seen := make(map[string]Point, len(points))
-	for _, p := range points {
-		k := p.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("key %q collides: %+v and %+v", k, prev, p)
-		}
-		seen[k] = p
-	}
-}
-
 func TestMapOrderAndErrors(t *testing.T) {
 	got, err := Map(context.Background(), 20, 4, func(i int) (int, error) {
 		return i * i, nil

@@ -53,7 +53,6 @@ type Engine struct {
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
-	links      *Links // cfg.Topology when it is a *Links, else nil
 	ret        Retention
 	cb         Sink // cfg.Sink when it observes (custom sink), else nil
 	trace      *Trace
@@ -113,12 +112,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: unknown retention mode %v", ret.Mode)
 		}
 	}
-	var links *Links
-	if l, ok := cfg.Topology.(*Links); ok && l != nil {
-		if l.N() != cfg.N {
-			return nil, fmt.Errorf("sim: topology is over %d processes, config has N = %d", l.N(), cfg.N)
-		}
-		links = l
+	links := cfg.Topology
+	if links != nil && links.N() != cfg.N {
+		return nil, fmt.Errorf("sim: topology is over %d processes, config has N = %d", links.N(), cfg.N)
 	}
 	for p, f := range cfg.Faults {
 		if p < 0 || int(p) >= cfg.N {
@@ -163,7 +159,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if s.At.Sign() < 0 {
 				return nil, fmt.Errorf("sim: scripted send from %d at negative time %v", p, s.At)
 			}
-			if s.To != p && cfg.Topology != nil && !cfg.Topology.Linked(p, s.To) {
+			if s.To != p && links != nil && !links.Linked(p, s.To) {
 				return nil, fmt.Errorf("sim: scripted send from %d to %d crosses a non-existent link", p, s.To)
 			}
 		}
@@ -201,7 +197,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s (partition %d)", err, i)
 			}
-			if !partitionCutsLink(sides, cfg.Topology, links, cfg.N) {
+			if !partitionCutsLink(sides, links) {
 				return nil, fmt.Errorf("sim: partition %d cuts no link of the topology", i)
 			}
 			partSides[i] = sides
@@ -215,7 +211,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	cfg.Delays = compileDelays(cfg.Delays)
 	e.ret = ret
 	e.reset(cfg)
-	e.links = links
 	e.net = cfg.Net
 	e.partSides = partSides
 	if links != nil && cap(e.out) < links.MaxOutDegree()+1 {
@@ -227,7 +222,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	// Decide the execution mode before any delivery is scheduled: from
 	// here on, enqueue routes through the shard layer when the run is
 	// sharded (setup pushes land in shard inboxes).
-	e.setupShards(cfg, links)
+	e.setupShards(cfg)
 
 	for p := ProcessID(0); int(p) < cfg.N; p++ {
 		handler := cfg.Spawn(p)
@@ -315,7 +310,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	e.finishTrace()
 	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr, Shards: shardsUsed}
 	// Drop the escaping references so pooled state never aliases a result.
-	e.trace, e.procs, e.cfg, e.links, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil, nil
+	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
 	e.net, e.partSides = nil, nil
 	e.teardownShards()
 	for p := range e.down {
@@ -578,39 +573,18 @@ func (e *Engine) deliver(m Message) {
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at
-// least one link of the topology. For predicate topologies the pair scan
-// is only affordable at small N; larger systems skip the check (the
-// partition is accepted as specified).
-func partitionCutsLink(sides []int8, topo Topology, links *Links, n int) bool {
-	if topo == nil {
+// least one link of the topology, by one O(links) scan at any N.
+func partitionCutsLink(sides []int8, links *Links) bool {
+	if links == nil {
 		// Full mesh: two non-empty sides always cut links.
 		return true
 	}
-	if links != nil {
-		for p := 0; p < n; p++ {
-			if sides[p] == 0 {
-				continue
-			}
-			for _, q := range links.Out(ProcessID(p)) {
-				if sides[q] != 0 && sides[q] != sides[p] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if n > 1024 {
-		return true
-	}
-	for p := 0; p < n; p++ {
+	for p := range sides {
 		if sides[p] == 0 {
 			continue
 		}
-		for q := 0; q < n; q++ {
-			if q == p || sides[q] == 0 || sides[q] == sides[p] {
-				continue
-			}
-			if topo.Linked(ProcessID(p), ProcessID(q)) {
+		for _, q := range links.Out(ProcessID(p)) {
+			if sides[q] != 0 && sides[q] != sides[p] {
 				return true
 			}
 		}
@@ -751,8 +725,7 @@ func (e *Engine) stepEvent(m Message) (stop bool) {
 			self:      p,
 			n:         e.cfg.N,
 			stepIndex: e.stepCount[p],
-			topo:      e.cfg.Topology,
-			links:     e.links,
+			links:     e.cfg.Topology,
 			out:       e.out[:0],
 		}
 		e.procs[p].Step(&e.env, m)

@@ -28,8 +28,7 @@ type Env struct {
 	stepIndex int
 	out       []pendingSend
 	note      any
-	topo      Topology
-	links     *Links // non-nil iff topo is a *Links; enables O(degree) fan-out
+	links     *Links // the run's topology; nil means fully connected
 }
 
 type pendingSend struct {
@@ -58,7 +57,7 @@ func (e *Env) Send(to ProcessID, payload any) {
 	if to < 0 || int(to) >= e.n {
 		panic(fmt.Sprintf("sim: send to invalid process %d", to))
 	}
-	if to != e.self && e.topo != nil && !e.topo.Linked(e.self, to) {
+	if to != e.self && e.links != nil && !e.links.Linked(e.self, to) {
 		panic(fmt.Sprintf("sim: no link %d -> %d in topology", e.self, to))
 	}
 	e.out = append(e.out, pendingSend{to: to, payload: payload})
@@ -67,40 +66,31 @@ func (e *Env) Send(to ProcessID, payload any) {
 // Broadcast sends payload to every out-neighbor in the topology and to the
 // sender itself. Self-delivery is unconditional — the paper assumes it for
 // Algorithm 1, and a topology describes network links, which a process does
-// not need to reach itself — so a predicate excluding from == to cannot
+// not need to reach itself — so a topology without the self-link cannot
 // suppress it.
 //
-// All three paths emit sends in ascending recipient order (with self woven
-// into its sorted position), so the same topology expressed as a predicate
-// or as a *Links produces the identical trace; the *Links path just does it
-// in O(out-degree) instead of O(N).
+// Fully connected or sparse, sends go out in ascending recipient order,
+// with self woven into its sorted position; a sparse topology costs
+// O(out-degree) per broadcast.
 func (e *Env) Broadcast(payload any) {
-	switch {
-	case e.links != nil:
-		selfDone := false
-		for _, to := range e.links.Out(e.self) {
-			if !selfDone && to >= e.self {
-				selfDone = true
-				if to != e.self {
-					e.out = append(e.out, pendingSend{to: e.self, payload: payload})
-				}
-			}
-			e.out = append(e.out, pendingSend{to: to, payload: payload})
-		}
-		if !selfDone {
-			e.out = append(e.out, pendingSend{to: e.self, payload: payload})
-		}
-	case e.topo != nil:
-		for to := ProcessID(0); int(to) < e.n; to++ {
-			if to != e.self && !e.topo.Linked(e.self, to) {
-				continue
-			}
-			e.out = append(e.out, pendingSend{to: to, payload: payload})
-		}
-	default:
+	if e.links == nil {
 		for to := ProcessID(0); int(to) < e.n; to++ {
 			e.out = append(e.out, pendingSend{to: to, payload: payload})
 		}
+		return
+	}
+	selfDone := false
+	for _, to := range e.links.Out(e.self) {
+		if !selfDone && to >= e.self {
+			selfDone = true
+			if to != e.self {
+				e.out = append(e.out, pendingSend{to: e.self, payload: payload})
+			}
+		}
+		e.out = append(e.out, pendingSend{to: to, payload: payload})
+	}
+	if !selfDone {
+		e.out = append(e.out, pendingSend{to: e.self, payload: payload})
 	}
 }
 

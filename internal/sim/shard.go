@@ -13,7 +13,7 @@ import (
 // (DESIGN.md decision 12).
 //
 // Processes are partitioned into contiguous ID ranges (weighted by CSR
-// out-degree when the topology is a *Links, so dense hubs do not pile
+// out-degree when the topology is sparse, so dense hubs do not pile
 // into one shard), each shard owning its own delivery queue. The run then
 // alternates two phases per window:
 //
@@ -91,7 +91,7 @@ type shardState struct {
 // growing-delay bound assumes send times >= 0), and a delay policy with a
 // derivable positive minimum — zero lookahead means zero-width windows.
 // cfg.Delays must already be compiled.
-func (e *Engine) setupShards(cfg Config, links *Links) {
+func (e *Engine) setupShards(cfg Config) {
 	e.shards = nil
 	e.routeDirect = false
 	p := cfg.Shards
@@ -122,7 +122,7 @@ func (e *Engine) setupShards(cfg Config, links *Links) {
 		return
 	}
 
-	bounds := shardRanges(cfg.N, p, links)
+	bounds := shardRanges(cfg.N, p, cfg.Topology)
 	if cap(e.shardPool) < p {
 		pool := make([]shardState, p)
 		copy(pool, e.shardPool)
@@ -138,8 +138,8 @@ func (e *Engine) setupShards(cfg Config, links *Links) {
 		s.sends = s.sends[:0]
 		s.mergeIdx = 0
 		s.panicv = nil
-		if links != nil && cap(s.out) < links.MaxOutDegree()+1 {
-			s.out = make([]pendingSend, 0, links.MaxOutDegree()+1)
+		if l := cfg.Topology; l != nil && cap(s.out) < l.MaxOutDegree()+1 {
+			s.out = make([]pendingSend, 0, l.MaxOutDegree()+1)
 		}
 		if s.labels == nil {
 			s.labels = pprof.WithLabels(context.Background(),
@@ -413,8 +413,7 @@ func (e *Engine) stepShard(s *shardState, d delivery) {
 			self:      p,
 			n:         e.cfg.N,
 			stepIndex: e.stepCount[p],
-			topo:      e.cfg.Topology,
-			links:     e.links,
+			links:     e.cfg.Topology,
 			out:       s.out[:0],
 		}
 		e.procs[p].Step(&s.env, m)

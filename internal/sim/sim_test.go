@@ -321,7 +321,7 @@ func TestTopologyRestriction(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return (int(from)+1)%3 == int(to) }),
+		Topology: Ring(3),
 		Delays:   ConstantDelay{D: rat.One},
 	}
 	if _, err := Run(cfg); err != nil {
@@ -342,7 +342,7 @@ func TestSendOutsideTopologyPanics(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return false }),
+		Topology: NewLinks(2, nil),
 		Delays:   ConstantDelay{D: rat.One},
 	}
 	defer func() {

@@ -8,31 +8,15 @@ import (
 	"strings"
 )
 
-// Topology describes which directed communication links exist. A nil
-// Topology in Config means fully connected. The engine treats self-delivery
-// as always available regardless of the topology: a process can deliver to
-// itself without a network link (see Env.Broadcast and Env.Send).
-//
-// Implementations backed by explicit neighbor lists should be *Links — the
-// engine recognizes it and routes Env.Broadcast through the precomputed
-// out-neighbor slices instead of the O(N) predicate scan, which is what
-// makes N ≈ 10^5 sparse systems tractable.
-type Topology interface {
-	// Linked reports whether the directed link from → to exists.
-	Linked(from, to ProcessID) bool
-}
-
-// TopologyFunc adapts a predicate to the Topology interface.
-type TopologyFunc func(from, to ProcessID) bool
-
-// Linked implements Topology.
-func (f TopologyFunc) Linked(from, to ProcessID) bool { return f(from, to) }
-
-// Links is a sparse directed graph in compressed sparse row form: one
-// sorted out-neighbor slice per process, following the CSR layout of
-// causality.Graph. It implements Topology; Linked answers by binary search
-// and Out exposes the neighbor slice the engine's broadcast fast path
-// iterates directly.
+// Links is the communication graph of a system: the directed links
+// between processes, in compressed sparse row form — one sorted
+// out-neighbor slice per process, following the CSR layout of
+// causality.Graph. A nil *Links in Config means fully connected. The
+// engine treats self-delivery as always available regardless of the
+// topology: a process can deliver to itself without a network link (see
+// Env.Broadcast and Env.Send). Linked answers by binary search and Out
+// exposes the neighbor slice Env.Broadcast iterates directly, which is
+// what makes N ≈ 10^5 sparse systems tractable.
 type Links struct {
 	n      int
 	off    []int32
@@ -99,8 +83,8 @@ func (l *Links) Out(p ProcessID) []ProcessID { return l.to[l.off[p]:l.off[p+1]] 
 // MaxOutDegree returns the largest out-degree.
 func (l *Links) MaxOutDegree() int { return l.maxOut }
 
-// Linked implements Topology by binary search over the sorted neighbor
-// slice.
+// Linked reports whether the directed link from → to exists, by binary
+// search over the sorted neighbor slice.
 func (l *Links) Linked(from, to ProcessID) bool {
 	if from < 0 || int(from) >= l.n {
 		return false
@@ -297,8 +281,8 @@ func IslandOf(n, k int, p ProcessID) int {
 //	islands/K     K disjoint fully-connected components (disconnected)
 //
 // Note that generated names contain '/' — axis labels must therefore use
-// explicit key=value segments (see runner.Point.Key).
-func ParseTopology(spec string, n int, seed int64) (Topology, error) {
+// explicit key=value segments (see runner.ParamGrid).
+func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: topology %q needs n > 0, got %d", spec, n)
 	}

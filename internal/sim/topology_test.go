@@ -169,13 +169,8 @@ func TestParseTopology(t *testing.T) {
 			}
 			continue
 		}
-		l, okType := topo.(*Links)
-		if !okType {
-			t.Errorf("ParseTopology(%q) returned %T, want *Links", tc.spec, topo)
-			continue
-		}
-		if l.NumLinks() != tc.links {
-			t.Errorf("ParseTopology(%q, %d): %d links, want %d", tc.spec, tc.n, l.NumLinks(), tc.links)
+		if topo.NumLinks() != tc.links {
+			t.Errorf("ParseTopology(%q, %d): %d links, want %d", tc.spec, tc.n, topo.NumLinks(), tc.links)
 		}
 	}
 	bad := []struct {
@@ -194,45 +189,37 @@ func TestParseTopology(t *testing.T) {
 }
 
 // TestBroadcastSelfDeliveryUnconditional pins the semantics decision for
-// the self-delivery bug: a topology predicate returning false for
-// from == to must not suppress the broadcast's self-copy (Algorithm 1
-// assumes unconditional self-delivery; a topology describes network links,
-// and reaching oneself needs none).
+// the self-delivery bug: a topology without the from == to link must not
+// suppress the broadcast's self-copy (Algorithm 1 assumes unconditional
+// self-delivery; a topology describes network links, and reaching oneself
+// needs none).
 func TestBroadcastSelfDeliveryUnconditional(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		topo Topology
-	}{
-		{"predicate", TopologyFunc(func(from, to ProcessID) bool { return false })},
-		{"links", NewLinks(3, nil)}, // no links at all
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			recv := make([]int, 3)
-			_, err := Run(Config{
-				N: 3,
-				Spawn: func(p ProcessID) Process {
-					return ProcessFunc(func(env *Env, msg Message) {
-						switch msg.Payload.(type) {
-						case Wakeup:
-							env.Broadcast("hi")
-						case string:
-							recv[env.Self()]++
-						}
-					})
-				},
-				Topology: tc.topo,
-				Delays:   ConstantDelay{D: rat.One},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p, n := range recv {
-				if n != 1 {
-					t.Errorf("process %d received %d self-copies, want 1", p, n)
-				}
-			}
+	t.Run("links", func(t *testing.T) {
+		recv := make([]int, 3)
+		_, err := Run(Config{
+			N: 3,
+			Spawn: func(p ProcessID) Process {
+				return ProcessFunc(func(env *Env, msg Message) {
+					switch msg.Payload.(type) {
+					case Wakeup:
+						env.Broadcast("hi")
+					case string:
+						recv[env.Self()]++
+					}
+				})
+			},
+			Topology: NewLinks(3, nil), // no links at all
+			Delays:   ConstantDelay{D: rat.One},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, n := range recv {
+			if n != 1 {
+				t.Errorf("process %d received %d self-copies, want 1", p, n)
+			}
+		}
+	})
 }
 
 // TestSendToSelfAlwaysAllowed: Env.Send(self) is legal under any topology,
@@ -250,7 +237,7 @@ func TestSendToSelfAlwaysAllowed(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return false }),
+		Topology: NewLinks(2, nil),
 		Delays:   ConstantDelay{D: rat.One},
 	})
 	if err != nil {
@@ -258,35 +245,6 @@ func TestSendToSelfAlwaysAllowed(t *testing.T) {
 	}
 	if got != 1 {
 		t.Errorf("process 0 received %d self-sends, want 1", got)
-	}
-}
-
-// TestBroadcastLinksMatchesPredicate: the same topology expressed as a
-// *Links and as a predicate produces bit-identical traces — the CSR fast
-// path is an optimization, not a semantics change.
-func TestBroadcastLinksMatchesPredicate(t *testing.T) {
-	const n = 6
-	ring := Ring(n)
-	pred := TopologyFunc(func(from, to ProcessID) bool { return ring.Linked(from, to) })
-	base := Config{
-		N:      n,
-		Spawn:  broadcastSpawn(4),
-		Delays: UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
-		Seed:   11,
-	}
-	asLinks, asPred := base, base
-	asLinks.Topology = ring
-	asPred.Topology = pred
-	rl, err := Run(asLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Run(asPred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rl.Trace.Hash() != rp.Trace.Hash() {
-		t.Errorf("links trace %016x != predicate trace %016x", rl.Trace.Hash(), rp.Trace.Hash())
 	}
 }
 
@@ -381,7 +339,7 @@ func TestQueueImplementationsAgree(t *testing.T) {
 		"zero":    ConstantDelay{D: rat.Zero},
 		"growing": GrowingDelay{Base: rat.One, Rate: rat.New(1, 3), Spread: rat.FromInt(2)},
 	}
-	topos := map[string]Topology{
+	topos := map[string]*Links{
 		"full":  nil,
 		"ring":  Ring(40),
 		"torus": Torus(5, 8),

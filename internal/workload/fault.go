@@ -243,7 +243,7 @@ func parseClause(pos int, text string) (faultClause, error) {
 // p: the smallest process p is linked to (0 under the fully connected
 // default), itself when the topology gives it no out-links — self-sends
 // are always legal (see sim.Fault).
-func scriptTarget(p sim.ProcessID, n int, topo sim.Topology) sim.ProcessID {
+func scriptTarget(p sim.ProcessID, n int, topo *sim.Links) sim.ProcessID {
 	for q := sim.ProcessID(0); int(q) < n; q++ {
 		if q == p {
 			continue
@@ -341,7 +341,7 @@ func insertInterval(down []sim.Interval, iv sim.Interval) []sim.Interval {
 // drop/dup/spike/partition clauses assemble a sim.NetFaults. A nil map
 // and nil NetFaults mean no faults. Callers validate the returned map's
 // size against their own resilience bound.
-func ResolveFaults(v Values, n int, topo sim.Topology, byz ByzFactory) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
+func ResolveFaults(v Values, n int, topo *sim.Links, byz ByzFactory) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
 	spec := v.String("faults")
 	clauses, err := parseFaults(spec)
 	if err != nil {
