@@ -21,7 +21,7 @@ BENCH_JSON_SCALE = BenchmarkSimulator(Sharded)?/topo=ring/^n=1000000$$
 # the trajectory can be diffed.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-selftest fuzz-smoke fleet-ci fleet-bench incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci cover ci
+.PHONY: all build vet test race bench bench-smoke bench-json bench-selftest fuzz-smoke fleet-bench cli-smoke scale-smoke cover ci
 
 all: build
 
@@ -34,8 +34,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector in shuffled order — the
+# one test step of CI; the targets below add fuzz, bench, coverage and CLI
+# smokes on top.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # bench runs the full paper evaluation (cmd/abcbench). CPUPROFILE= and
 # MEMPROFILE= pass pprof output paths through, so engine regressions can
@@ -60,10 +63,12 @@ bench:
 
 # bench-smoke runs the three headline benchmarks briefly — enough to catch
 # order-of-magnitude regressions in the arithmetic layer, not to replace a
-# real benchstat comparison.
+# real benchstat comparison — plus the simulator grid up to the N=10k ring
+# fan-out case and one pass of the E18 cross-workload matrix.
 bench-smoke:
 	$(GO) test -run=NONE -bench='$(BENCH_SMOKE)' -benchmem -benchtime=10x .
 	$(GO) test -run=NONE -bench='$(BENCH_SIM_SMOKE)' -benchmem -benchtime=10x .
+	$(GO) test -run=NONE -bench='BenchmarkE18_CrossWorkload' -benchtime=1x .
 
 # bench-json records the perf trajectory: the headline benchmarks are
 # rendered to $(BENCH_OUT) (via cmd/benchjson) so per-PR numbers live
@@ -87,24 +92,15 @@ bench-selftest:
 # FuzzConstraintKernel pins the checker's constraint-CSR Bellman–Ford
 # against the generic Digraph reference it replaced. FuzzDeliveryQueue
 # pins the calendar delivery queue's pop order against an exact-order
-# reference heap.
+# reference heap. FuzzParseTopology guards the topology-spec input.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=10s ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=10s ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzParseTopology -fuzztime=10s ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDeliveryQueue -fuzztime=10s ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzConstraintKernel -fuzztime=10s ./internal/check
-
-# fleet-ci mirrors the CI "fleet" job: the golden-trace determinism and
-# engine-hermeticity suites under the race detector with shuffled test
-# order, the fleet-vs-serial evaluation equivalence, and coverage for the
-# runner and sim packages.
-fleet-ci:
-	$(GO) test -race -shuffle=on -run 'Fleet|Engine|Map|Grid|Stream|Run' ./internal/runner ./internal/sim
-	$(GO) test -race -run 'TestRunAllWidthIndependent' ./internal/experiments
-	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim
-	$(GO) tool cover -func=cover.out
 
 # fleet-bench records the serial vs 8-worker wall-clock of the full E1–E16
 # evaluation through the runner (needs >= 8 hardware threads to show the
@@ -112,80 +108,24 @@ fleet-ci:
 fleet-bench:
 	$(GO) test -run=NONE -bench='BenchmarkFleetExperiments' -benchtime=3x .
 
-# incremental-ci mirrors the CI "incremental" job: the ≥10k-schedule
-# incremental-vs-batch differential grid and the watch-mode suites under
-# the race detector, plus a bench smoke of the append-batch workload.
-incremental-ci:
-	$(GO) test -race -run 'Incremental|Watch|Monitor|Builder|IsDAG|BellmanFordFrom|ReusesBuffers|MatchesReference' ./internal/check ./internal/causality ./internal/sim ./internal/runner
-	$(GO) test -run=NONE -bench='BenchmarkIncrementalChecker' -benchmem -benchtime=10x .
-
-# workloads-ci mirrors the CI "workloads" job: the registry-wide
-# conformance suite (parameter hygiene, fleet==serial determinism,
-# verdict agreement with the batch checker, watch invisibility) under the
-# race detector with shuffled test order, the registry mechanics and CLI
-# suites, the E18 cross-workload matrix, and the example smoke tests.
-workloads-ci:
-	$(GO) test -race -shuffle=on ./internal/workload/... ./cmd/abcsim
-	$(GO) test -race -run 'TestRunAllWidthIndependent' ./internal/experiments
-	$(GO) test -run=NONE -bench='BenchmarkE18_CrossWorkload' -benchtime=1x .
-	$(GO) test ./examples/...
-
-# topology-ci mirrors the CI "topology" job: the sparse-topology suites —
-# generator structure, ParseTopology, broadcast/self-delivery semantics,
-# scripted-send validation, calendar queue vs heap golden traces, key
-# collisions, and the fleet==serial sparse conformance cases — under the
-# race detector with shuffled order, plus a bench smoke at N=10k ring so
-# fan-out regressions fail fast.
-topology-ci:
-	$(GO) test -race -shuffle=on -run 'Topo|Sparse|Queue|Broadcast|Island|Script|ParamGridKey|Ring|Torus|Regular|ScaleFree|Links' ./internal/sim ./internal/runner ./internal/workload/...
-	$(GO) test -run=NONE -bench='BenchmarkSimulator/topo=ring/^n=10000$$' -benchmem -benchtime=10x .
-
-# protocols-ci mirrors the CI "protocols" job: the consensus and Ω
-# domain suites and the protocol/fault-axis conformance cases (fault
-# grids, failing-verdict CheckErr determinism) under the race detector
-# with shuffled order, plus two CLI smokes driving the headline grids end
-# to end — a crash-at-step sweep and a Byzantine-budget grid.
-protocols-ci:
-	$(GO) test -race -shuffle=on ./internal/consensus ./internal/detector
-	$(GO) test -race -shuffle=on -run 'Protocol|Conformance|Fault' ./internal/workload/...
+# cli-smoke drives the headline CLI sweeps end to end: a crash-at-step
+# sweep, a Byzantine-budget grid, a recovery/partition sweep, an Ω
+# recovery run, and a sharded NDJSON sweep.
+cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
-
-# faults-ci mirrors the CI "faults" job: the crash-recovery and
-# lossy-network fault-plane suites (engine down/up + net-fault
-# semantics, grammar resolution, Ω re-election, registry fault cases,
-# retention equivalence under message faults) under the race detector
-# with shuffled order, plus two CLI smokes driving a recovery sweep and
-# a partition sweep end to end.
-faults-ci:
-	$(GO) test -race -shuffle=on -run 'Fault|Recover|Partition|NetFault|Omega|WindowWatch' ./internal/sim ./internal/detector ./internal/workload/...
 	$(GO) run ./cmd/abcsim -workload broadcast -sweep faults=none,recover/1@2..4,partition/halves@2..5 -runs 2
 	$(GO) run ./cmd/abcsim -workload omega -param faults=recover/p0@4..12 -runs 2
-
-# scale-ci mirrors the CI "scale" job: the trace-retention and
-# sink-equivalence suites (engine-level retention equivalence, the
-# registry-wide full/window/none digest agreement, window-watch vs batch
-# first-violation parity, and the retention policy layer) under the race
-# detector with shuffled order, then a single N=10^6 RetainNone ring
-# iteration as a wall-clock smoke — the time budget catches throughput
-# collapses at the PR 8 scale target, benchstat catches drift.
-scale-ci:
-	$(GO) test -race -shuffle=on -run 'Sink|Retention|WindowWatch|EventsOf' ./internal/sim ./internal/workload/...
-	$(GO) test -run=NONE -bench='$(BENCH_JSON_SCALE)' -benchmem -benchtime=1x -timeout 15m .
-
-# parallel-ci mirrors the CI "parallel" job: the sharded-engine suites —
-# the shard-count determinism grid (trace hashes at shards {1,2,4,8} ==
-# serial, including retention modes, net faults, truncation, and the
-# lookahead fallback gates), the worker/shard split regression, the
-# registry-wide shard-invisibility conformance cases, and the E18 matrix
-# at shards=2 — under the race detector with shuffled order, plus a CLI
-# smoke driving a sharded NDJSON sweep end to end.
-parallel-ci:
-	$(GO) test -race -shuffle=on -run 'Shard|MinDelay' ./internal/sim ./internal/runner ./internal/workload/... ./cmd/abcsim
-	$(GO) test -race -run 'TestCrossWorkloadSharded' ./internal/experiments
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=100 -runs 4 -shards 4 -json > /dev/null
 
-cover:
-	$(GO) test -cover ./internal/runner ./internal/sim
+# scale-smoke runs a single N=10^6 RetainNone ring iteration as a
+# wall-clock smoke: the time budget catches throughput collapses at scale,
+# benchstat catches drift.
+scale-smoke:
+	$(GO) test -run=NONE -bench='$(BENCH_JSON_SCALE)' -benchmem -benchtime=1x -timeout 15m .
 
-ci: vet race bench-smoke bench-selftest fleet-ci incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci
+cover:
+	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim
+	$(GO) tool cover -func=cover.out
+
+ci: vet race fuzz-smoke bench-selftest bench-smoke fleet-bench cover cli-smoke scale-smoke

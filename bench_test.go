@@ -294,16 +294,16 @@ func BenchmarkSimulator(b *testing.B) {
 	cases := []struct {
 		topo     string
 		n, steps int
-		sink     func() sim.Sink // nil = full retention
+		ret      sim.Retention
 		tag      string
 	}{
-		{"full", 8, 50, nil, ""}, // the historical shape, for trajectory continuity
-		{"full", 100, 5, nil, ""},
-		{"ring", 10000, 3, nil, ""},
-		{"ring", 100000, 3, nil, ""},
-		{"torus", 100000, 3, nil, ""},
-		{"ring", 100000, 3, sim.RetainNone, "/retain=none"},
-		{"ring", 1000000, 3, sim.RetainNone, ""},
+		{"full", 8, 50, sim.Retention{}, ""}, // the historical shape, for trajectory continuity
+		{"full", 100, 5, sim.Retention{}, ""},
+		{"ring", 10000, 3, sim.Retention{}, ""},
+		{"ring", 100000, 3, sim.Retention{}, ""},
+		{"torus", 100000, 3, sim.Retention{}, ""},
+		{"ring", 100000, 3, sim.RetainNone(), "/retain=none"},
+		{"ring", 1000000, 3, sim.RetainNone(), ""},
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("topo=%s/n=%d%s", tc.topo, tc.n, tc.tag), func(b *testing.B) {
@@ -318,9 +318,7 @@ func BenchmarkSimulator(b *testing.B) {
 				Topology:  topo,
 				Seed:      1,
 				MaxEvents: 1 << 24,
-			}
-			if tc.sink != nil {
-				cfg.Sink = tc.sink()
+				Retention: tc.ret,
 			}
 			engine := sim.NewEngine()
 			// One run to count events for the metrics (and to prime the
@@ -369,7 +367,7 @@ func BenchmarkSimulatorSharded(b *testing.B) {
 					Topology:  topo,
 					Seed:      1,
 					MaxEvents: 1 << 24,
-					Sink:      sim.RetainNone(),
+					Retention: sim.RetainNone(),
 					Shards:    shards,
 				}
 				engine := sim.NewEngine()

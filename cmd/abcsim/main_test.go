@@ -234,6 +234,19 @@ func TestRunShardsInvisible(t *testing.T) {
 	}
 }
 
+// TestRunHugeWindow runs a window far larger than the run: the engine
+// sizes nothing by K, so the run completes as any other.
+func TestRunHugeWindow(t *testing.T) {
+	var out, errOut strings.Builder
+	args := []string{"-workload", "broadcast", "-param", "n=8", "-param", "trace=window/100000000"}
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
+	}
+	if !strings.Contains(out.String(), "trace=window retention") {
+		t.Errorf("output lacks the window retention summary:\n%s", out.String())
+	}
+}
+
 func TestRunRejectsBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "no-such-workload"},
@@ -250,6 +263,11 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"}, // duplicate axis
 		{"-workload", "scenario", "-param", "fig=fig77"},
 		{"-n", "4"}, // no shorthand flags: -param sets every parameter
+		// Hostile specs: 2*K overflows int; rows*cols overflows to n; M
+		// beyond n-1.
+		{"-workload", "broadcast", "-param", "n=8", "-param", "trace=window/4611686018427387904"},
+		{"-workload", "broadcast", "-param", "n=8", "-param", "topology=torus/3x6148914691236517208"},
+		{"-workload", "broadcast", "-param", "n=8", "-param", "topology=scalefree/1000000000000"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder

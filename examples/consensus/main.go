@@ -26,8 +26,9 @@ func main() {
 
 	faults := map[abc.ProcessID]abc.Fault{
 		6: abc.Silent(),
-		5: abc.ByzantineFault(consensus.NewTwoFaced(model, n, f,
-			consensus.SplitEIG(n, 5, 0, 1))),
+		5: abc.ByzantineFault(func() abc.Process {
+			return consensus.NewTwoFaced(model, n, f, consensus.SplitEIG(n, 5, 0, 1))
+		}),
 	}
 
 	res, err := abc.Simulate(abc.Config{

@@ -131,7 +131,7 @@ func Adversaries(n, f int, seed uint64) map[sim.ProcessID]sim.Fault {
 	faults := make(map[sim.ProcessID]sim.Fault, f)
 	const budget = 60
 	for i := 0; i < f; i++ {
-		faults[sim.ProcessID(n-1-i)] = sim.ByzantineFault(Adversary(i, seed, budget))
+		faults[sim.ProcessID(n-1-i)] = sim.ByzantineFault(func() sim.Process { return Adversary(i, seed, budget) })
 	}
 	return faults
 }

@@ -24,7 +24,7 @@ func adversaryTicks(t *testing.T, n int, adv sim.Process) [][]int {
 	res, err := sim.Run(sim.Config{
 		N:         n,
 		Spawn:     func(sim.ProcessID) sim.Process { return sink() },
-		Faults:    map[sim.ProcessID]sim.Fault{0: sim.ByzantineFault(adv)},
+		Faults:    map[sim.ProcessID]sim.Fault{0: sim.ByzantineFault(func() sim.Process { return adv })},
 		Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
 		Seed:      1,
 		MaxEvents: 10000,
@@ -165,7 +165,7 @@ func TestMalformedSenderIsIgnored(t *testing.T) {
 			}
 			return pr
 		},
-		Faults:    map[sim.ProcessID]sim.Fault{0: sim.ByzantineFault(&MalformedSender{Budget: 5})},
+		Faults:    map[sim.ProcessID]sim.Fault{0: sim.ByzantineFault(func() sim.Process { return &MalformedSender{Budget: 5} })},
 		Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
 		Seed:      2,
 		MaxEvents: 10000,
@@ -186,11 +186,11 @@ func TestMalformedSenderIsIgnored(t *testing.T) {
 // progress or real-time precision.
 func TestCorrectClocksProgressUnderEachAdversary(t *testing.T) {
 	const n, f, target = 4, 1, 5
-	advs := map[string]sim.Process{
-		"rusher":      &Rusher{Ahead: 5, Budget: 60},
-		"equivocator": &Equivocator{Seed: 3, Budget: 60},
-		"laggard":     &Laggard{Budget: 60},
-		"malformed":   &MalformedSender{Budget: 60},
+	advs := map[string]func() sim.Process{
+		"rusher":      func() sim.Process { return &Rusher{Ahead: 5, Budget: 60} },
+		"equivocator": func() sim.Process { return &Equivocator{Seed: 3, Budget: 60} },
+		"laggard":     func() sim.Process { return &Laggard{Budget: 60} },
+		"malformed":   func() sim.Process { return &MalformedSender{Budget: 60} },
 	}
 	for name, adv := range advs {
 		t.Run(name, func(t *testing.T) {
@@ -241,23 +241,59 @@ func TestAdversariesAssortment(t *testing.T) {
 		if fault.Byzantine == nil {
 			t.Fatalf("process %d fault is not Byzantine", id)
 		}
+		adv := fault.Byzantine()
 		switch wantKinds[i%4].(type) {
 		case *Equivocator:
-			if _, ok := fault.Byzantine.(*Equivocator); !ok {
-				t.Errorf("process %d: got %T, want *Equivocator", id, fault.Byzantine)
+			if _, ok := adv.(*Equivocator); !ok {
+				t.Errorf("process %d: got %T, want *Equivocator", id, adv)
 			}
 		case *Rusher:
-			if _, ok := fault.Byzantine.(*Rusher); !ok {
-				t.Errorf("process %d: got %T, want *Rusher", id, fault.Byzantine)
+			if _, ok := adv.(*Rusher); !ok {
+				t.Errorf("process %d: got %T, want *Rusher", id, adv)
 			}
 		case *Laggard:
-			if _, ok := fault.Byzantine.(*Laggard); !ok {
-				t.Errorf("process %d: got %T, want *Laggard", id, fault.Byzantine)
+			if _, ok := adv.(*Laggard); !ok {
+				t.Errorf("process %d: got %T, want *Laggard", id, adv)
 			}
 		case *MalformedSender:
-			if _, ok := fault.Byzantine.(*MalformedSender); !ok {
-				t.Errorf("process %d: got %T, want *MalformedSender", id, fault.Byzantine)
+			if _, ok := adv.(*MalformedSender); !ok {
+				t.Errorf("process %d: got %T, want *MalformedSender", id, adv)
 			}
+		}
+	}
+}
+
+// TestAdversariesShardedMatchesSerial runs the Byzantine assortment with
+// no Until predicate on the sharded engine. Each run builds its own
+// adversaries, so they step in the parallel drain like correct
+// processes, and the trace must equal the serial one at every shard
+// count.
+func TestAdversariesShardedMatchesSerial(t *testing.T) {
+	const n, f = 7, 2
+	cfg := sim.Config{
+		N:       n,
+		Spawn:   Spawner(n, f),
+		Faults:  Adversaries(n, f, 5),
+		Delays:  sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+		Seed:    3,
+		MaxTime: rat.FromInt(30),
+	}
+	serial, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		cfg.Shards = shards
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if shards > 1 && res.Shards <= 1 {
+			t.Fatalf("shards=%d: fell back to the serial engine", shards)
+		}
+		if res.Trace.Hash() != serial.Trace.Hash() {
+			t.Errorf("shards=%d: trace differs from the serial run (%d vs %d events)",
+				shards, res.Trace.TotalEvents(), serial.Trace.TotalEvents())
 		}
 	}
 }

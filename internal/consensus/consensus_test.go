@@ -123,8 +123,8 @@ func TestEIGByzantine(t *testing.T) {
 				if tc.mkByz == nil {
 					continue
 				}
-				if byz := tc.mkByz(tc.n, tc.f, id); byz != nil {
-					faults[id] = sim.ByzantineFault(byz)
+				if tc.mkByz(tc.n, tc.f, id) != nil {
+					faults[id] = sim.ByzantineFault(func() sim.Process { return tc.mkByz(tc.n, tc.f, id) })
 				} else {
 					faults[id] = sim.Silent()
 				}
@@ -146,7 +146,7 @@ func TestEIGUnanimousValidityUnderAttack(t *testing.T) {
 	n, f := 4, 1
 	inputs := []int{1, 1, 1, 1}
 	faults := map[sim.ProcessID]sim.Fault{
-		3: sim.ByzantineFault(NewTwoFaced(m, n, f, SplitEIG(n, 3, 0, 0))),
+		3: sim.ByzantineFault(func() sim.Process { return NewTwoFaced(m, n, f, SplitEIG(n, 3, 0, 0)) }),
 	}
 	apps, _ := runConsensus(t, n, f, EIGRounds(f), inputs,
 		func(p sim.ProcessID) lockstep.App { return NewEIG(n, f, inputs[p]) },
@@ -177,7 +177,7 @@ func TestPhaseKingByzantine(t *testing.T) {
 			faults := map[sim.ProcessID]sim.Fault{}
 			for i := 0; i < tc.f; i++ {
 				id := sim.ProcessID(tc.n - 1 - i)
-				faults[id] = sim.ByzantineFault(NewTwoFaced(m, tc.n, tc.f, SplitVotes(0, 1)))
+				faults[id] = sim.ByzantineFault(func() sim.Process { return NewTwoFaced(m, tc.n, tc.f, SplitVotes(0, 1)) })
 			}
 			apps, _ := runConsensus(t, tc.n, tc.f, PhaseKingRounds(tc.f), tc.inputs,
 				func(p sim.ProcessID) lockstep.App { return NewPhaseKing(tc.n, tc.f, tc.inputs[p]) },
@@ -325,16 +325,16 @@ func TestAdversaryDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64, algo string) uint64 {
 		n, f := 5, 1
 		inputs := []int{1, 0, 1, 0, 1}
-		var byz sim.Process
+		var byz func() sim.Process
 		var mkApp func(p sim.ProcessID) lockstep.App
 		rounds := 0
 		switch algo {
 		case "eig":
-			byz = NewTwoFaced(m, n, f, SplitEIG(n, 4, 0, 1))
+			byz = func() sim.Process { return NewTwoFaced(m, n, f, SplitEIG(n, 4, 0, 1)) }
 			mkApp = func(p sim.ProcessID) lockstep.App { return NewEIG(n, f, inputs[p]) }
 			rounds = EIGRounds(f)
 		case "phaseking":
-			byz = NewTwoFaced(m, n, f, SplitVotes(0, 1))
+			byz = func() sim.Process { return NewTwoFaced(m, n, f, SplitVotes(0, 1)) }
 			mkApp = func(p sim.ProcessID) lockstep.App { return NewPhaseKing(n, f, inputs[p]) }
 			rounds = PhaseKingRounds(f)
 		}

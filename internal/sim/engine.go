@@ -12,7 +12,10 @@ import (
 // Engine is a reusable simulation executor. A zero-value Engine is ready to
 // use; Run may be called any number of times, and each call produces a
 // result bit-identical to a fresh sim.Run of the same Config (the
-// hermeticity property pinned by TestEngineReuseHermetic).
+// hermeticity property pinned by TestEngineReuseHermetic). Run builds
+// every stateful object of a run itself — correct processes from
+// Config.Spawn, adversaries from Fault.Byzantine — so the same Config
+// replays identically however often it runs.
 //
 // The point of an Engine over the one-shot Run is fan-out cost: the fleet
 // runner (internal/runner) executes thousands of short simulations per
@@ -53,8 +56,6 @@ type Engine struct {
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
-	ret        Retention
-	cb         Sink // cfg.Sink when it observes (custom sink), else nil
 	trace      *Trace
 	procs      []Process
 	seq        int64
@@ -95,22 +96,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if cfg.StartTimes != nil && len(cfg.StartTimes) != cfg.N {
 		return nil, fmt.Errorf("sim: StartTimes has length %d, want %d", len(cfg.StartTimes), cfg.N)
 	}
-	ret := Retention{Mode: RetainFullMode}
-	if cfg.Sink != nil {
-		ret = cfg.Sink.Retention()
-		switch ret.Mode {
-		case RetainFullMode:
-		case RetainWindowMode:
-			if ret.Window < 1 {
-				return nil, fmt.Errorf("sim: window retention needs Window >= 1, got %d", ret.Window)
-			}
-		case RetainNoneMode:
-			if cfg.Monitor != nil {
-				return nil, errors.New("sim: Monitor requires retained events (full or window retention, not none)")
-			}
-		default:
-			return nil, fmt.Errorf("sim: unknown retention mode %v", ret.Mode)
-		}
+	if err := cfg.Retention.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Retention.Mode == RetainNoneMode && cfg.Monitor != nil {
+		return nil, errors.New("sim: Monitor requires retained events (full or window retention, not none)")
 	}
 	links := cfg.Topology
 	if links != nil && links.N() != cfg.N {
@@ -209,7 +199,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 
 	cfg.Delays = compileDelays(cfg.Delays)
-	e.ret = ret
 	e.reset(cfg)
 	e.net = cfg.Net
 	e.partSides = partSides
@@ -233,7 +222,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			e.hold[p] = len(f.Down) > 0 && f.Inflight == InflightHold
 			e.amnesia[p] = len(f.Down) > 0 && f.Recovery == RecoverAmnesia
 			if f.Byzantine != nil {
-				handler = f.Byzantine
+				handler = f.Byzantine()
 			}
 		}
 		if handler == nil {
@@ -310,7 +299,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	e.finishTrace()
 	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr, Shards: shardsUsed}
 	// Drop the escaping references so pooled state never aliases a result.
-	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
+	e.trace, e.procs, e.cfg, e.monitorErr = nil, nil, Config{}, nil
 	e.net, e.partSides = nil, nil
 	e.teardownShards()
 	for p := range e.down {
@@ -323,18 +312,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 // reset prepares the pooled storage for a new run: the queue and scratch
 // arrays are cleared and resized to cfg.N, the RNG is reseeded (producing
 // the same draw sequence as a fresh rand.New(rand.NewSource(seed))), and
-// per-run outputs are freshly allocated. e.ret must be set before reset.
+// per-run outputs are freshly allocated.
 func (e *Engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.seq = 0
 	e.nextMsg = 0
 	e.monitorErr = nil
-	e.cb = nil
-	if cfg.Sink != nil {
-		if _, builtin := cfg.Sink.(retentionSink); !builtin {
-			e.cb = cfg.Sink
-		}
-	}
 	e.queue.reset(cfg.N)
 	if e.rng == nil {
 		e.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -358,11 +341,12 @@ func (e *Engine) reset(cfg Config) {
 	// event and message stores to the engine's high-water marks so steady
 	// fleet traffic allocates each exactly once instead of growing them
 	// (append's growth factor costs ~5x the final size in cumulative
-	// allocation); window retention sizes to the window; none retains
-	// nothing.
-	e.trace = &Trace{N: cfg.N, Faulty: make([]bool, cfg.N), mode: e.ret.Mode}
+	// allocation). Bounded retention presizes nothing: the window grows
+	// until its slide bounds it at 2*Window events, so a window larger
+	// than the run costs only what the run records.
+	e.trace = &Trace{N: cfg.N, Faulty: make([]bool, cfg.N), mode: e.cfg.Retention.Mode}
 	e.procs = make([]Process, cfg.N)
-	switch e.ret.Mode {
+	switch e.cfg.Retention.Mode {
 	case RetainFullMode:
 		e.trace.Events = make([]Event, 0, e.lastEvents)
 		e.trace.Msgs = make([]Message, 0, e.lastMsgs)
@@ -376,11 +360,7 @@ func (e *Engine) reset(cfg Config) {
 		// Live view during the run (monitors may call EventAt); replaced
 		// by a compacted fresh copy before the Result escapes.
 		e.trace.eventPos = e.posRows
-	case RetainWindowMode:
-		e.trace.Events = make([]Event, 0, 2*e.ret.Window)
-		e.trace.Msgs = make([]Message, 0, 2*e.ret.Window)
-		e.trace.digest.init()
-	case RetainNoneMode:
+	default:
 		e.trace.digest.init()
 	}
 }
@@ -390,7 +370,7 @@ func (e *Engine) reset(cfg Config) {
 // allocations) and refreshes the high-water marks; bounded retention
 // clears the pooled in-flight store so it pins no payloads between runs.
 func (e *Engine) finishTrace() {
-	switch e.ret.Mode {
+	switch e.cfg.Retention.Mode {
 	case RetainFullMode:
 		t := e.trace
 		flat := make([]int32, len(t.Events))
@@ -472,7 +452,7 @@ func (e *Engine) nextSeq() int64 {
 func (e *Engine) recordMessage(m Message) MsgID {
 	m.ID = e.nextMsg
 	e.nextMsg++
-	switch e.ret.Mode {
+	switch e.cfg.Retention.Mode {
 	case RetainFullMode:
 		e.trace.Msgs = append(e.trace.Msgs, m)
 	default:
@@ -483,12 +463,6 @@ func (e *Engine) recordMessage(m Message) MsgID {
 		// preserving the dense pendBase+i == ID indexing.
 		e.pend = append(e.pend, m)
 		e.pendDone = append(e.pendDone, m.Dropped)
-	}
-	if e.cb != nil {
-		// Copy for the interface call: handing &m itself to an opaque
-		// callee would make every message heap-escape even with no sink.
-		cm := m
-		e.cb.Message(&cm)
 	}
 	return m.ID
 }
@@ -598,7 +572,7 @@ func partitionCutsLink(sides []int8, links *Links) bool {
 // (amortized O(1)) so memory tracks the in-flight population, not the
 // run length.
 func (e *Engine) takeDelivery(d delivery) Message {
-	if e.ret.Mode == RetainFullMode {
+	if e.cfg.Retention.Mode == RetainFullMode {
 		return e.trace.Msgs[d.msg]
 	}
 	i := int(d.msg - e.pendBase)
@@ -634,7 +608,7 @@ func (e *Engine) markDelivered(i int) {
 // m is the event's trigger message (already resolved by takeDelivery).
 func (e *Engine) recordEvent(ev Event, m Message) {
 	t := e.trace
-	switch e.ret.Mode {
+	switch e.cfg.Retention.Mode {
 	case RetainFullMode:
 		pos := len(t.Events)
 		t.Events = append(t.Events, ev)
@@ -646,7 +620,7 @@ func (e *Engine) recordEvent(ev Event, m Message) {
 		t.digest.foldEvent(&ev)
 		t.Events = append(t.Events, ev)
 		t.Msgs = append(t.Msgs, m) // parallel trigger store
-		if k := e.ret.Window; len(t.Events) >= 2*k {
+		if k := e.cfg.Retention.Window; len(t.Events) >= 2*k {
 			// Slide: keep the most recent k, amortized O(1) per event.
 			drop := len(t.Events) - k
 			n := copy(t.Events, t.Events[drop:])
@@ -660,11 +634,6 @@ func (e *Engine) recordEvent(ev Event, m Message) {
 	case RetainNoneMode:
 		t.totalEvents++
 		t.digest.foldEvent(&ev)
-	}
-	if e.cb != nil {
-		// Copy for the interface call, as in recordMessage.
-		cev := ev
-		e.cb.Event(&cev)
 	}
 }
 

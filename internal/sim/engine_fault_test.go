@@ -75,7 +75,7 @@ func TestRunFaultValidationErrors(t *testing.T) {
 		{"amnesia byzantine", func(cfg *Config) {
 			cfg.Faults = map[ProcessID]Fault{0: {
 				CrashAfter: NeverCrash, Down: []Interval{iv(1, 2)}, Recovery: RecoverAmnesia,
-				Byzantine: ProcessFunc(func(env *Env, msg Message) {}),
+				Byzantine: func() Process { return ProcessFunc(func(env *Env, msg Message) {}) },
 			}}
 		}, "amnesia recovery of a Byzantine process"},
 		{"drop probability", func(cfg *Config) {
@@ -479,24 +479,24 @@ func TestNetFaultDeterminismAndSinkEquivalence(t *testing.T) {
 		t.Fatalf("same config, different stream hashes: %016x vs %016x",
 			again.Trace.StreamHash(), full.Trace.StreamHash())
 	}
-	for _, sink := range []Sink{RetainWindow(16), RetainNone()} {
+	for _, ret := range []Retention{RetainWindow(16), RetainNone()} {
 		cfg := build()
-		cfg.Sink = sink
+		cfg.Retention = ret
 		res, err := engine.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bt := res.Trace
 		if bt.TotalEvents() != full.Trace.TotalEvents() || bt.TotalMsgs() != full.Trace.TotalMsgs() {
-			t.Fatalf("%v: totals (%d, %d), want (%d, %d)", sink.Retention().Mode,
+			t.Fatalf("%v: totals (%d, %d), want (%d, %d)", ret.Mode,
 				bt.TotalEvents(), bt.TotalMsgs(), full.Trace.TotalEvents(), full.Trace.TotalMsgs())
 		}
 		if bt.StreamHash() != full.Trace.StreamHash() {
-			t.Fatalf("%v: stream hash %016x, want %016x", sink.Retention().Mode,
+			t.Fatalf("%v: stream hash %016x, want %016x", ret.Mode,
 				bt.StreamHash(), full.Trace.StreamHash())
 		}
 		if res.Truncated != full.Truncated {
-			t.Fatalf("%v: truncated %v, want %v", sink.Retention().Mode, res.Truncated, full.Truncated)
+			t.Fatalf("%v: truncated %v, want %v", ret.Mode, res.Truncated, full.Truncated)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // engineTestConfigs is a set of deliberately heterogeneous configurations:
 // different N (larger and smaller than each other, to exercise both growth
 // and shrinking of the pooled arrays), different delay policies (uniform,
-// growing, per-link, override), faults (crash, silent, Byzantine script),
-// topology restrictions, and staggered start times.
+// growing, per-link, override), faults (crash, silent, Byzantine script,
+// a stateful Byzantine adversary), topology restrictions, and staggered
+// start times.
 func engineTestConfigs() map[string]Config {
 	broadcast := func(steps int) func(ProcessID) Process {
 		return func(ProcessID) Process {
@@ -37,6 +38,22 @@ func engineTestConfigs() map[string]Config {
 			},
 			Delays: GrowingDelay{Base: rat.One, Rate: rat.New(1, 10), Spread: rat.New(5, 4)},
 			Seed:   7, MaxEvents: 20000,
+		},
+		"byzantine-n5": {
+			N: 5, Spawn: broadcast(6),
+			// Stateful: each adversary forges a countdown of four
+			// broadcasts, so one reused across runs would fall silent.
+			Faults: map[ProcessID]Fault{4: ByzantineFault(func() Process {
+				left := 4
+				return ProcessFunc(func(env *Env, msg Message) {
+					if left > 0 {
+						left--
+						env.Broadcast(-left)
+					}
+				})
+			})},
+			Delays: UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
+			Seed:   5, MaxEvents: 20000,
 		},
 		"perlink-ring-n5": {
 			N: 5, Spawn: broadcast(5),

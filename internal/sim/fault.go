@@ -45,11 +45,13 @@ type Fault struct {
 	// Inflight selects the fate of messages arriving during a Down
 	// interval; the zero value is InflightDrop. Ignored without Down.
 	Inflight InflightPolicy
-	// Byzantine, when non-nil, replaces the process's state machine for all
-	// of its steps. The Byzantine process may send arbitrary messages
+	// Byzantine, when non-nil, constructs the state machine that replaces
+	// the process's correct algorithm for all of its steps. Run calls it
+	// once per run at setup, as it calls Config.Spawn, so every run gets a
+	// fresh adversary. The Byzantine process may send arbitrary messages
 	// (including equivocating payloads) from its steps. CrashAfter still
 	// applies, modelling a Byzantine process that eventually goes silent.
-	Byzantine Process
+	Byzantine func() Process
 	// Script injects messages from this process at arbitrary times,
 	// independent of any computing step — the fully adversarial behavior
 	// permitted of Byzantine processes. Scripted messages are subject to
@@ -77,14 +79,14 @@ type ScriptedSend struct {
 
 // Crash returns a Fault that crash-stops the process after k computing
 // steps.
-func Crash(k int) Fault { return Fault{CrashAfter: k, Byzantine: nil} }
+func Crash(k int) Fault { return Fault{CrashAfter: k} }
 
 // Silent returns a Fault for a process that is crashed from the start: it
 // never executes any step, not even its wake-up.
 func Silent() Fault { return Fault{CrashAfter: 0} }
 
-// ByzantineFault returns a Fault that runs p instead of the correct
-// algorithm.
-func ByzantineFault(p Process) Fault {
-	return Fault{CrashAfter: NeverCrash, Byzantine: p}
+// ByzantineFault returns a Fault that runs a fresh adversary from
+// newProc instead of the correct algorithm.
+func ByzantineFault(newProc func() Process) Fault {
+	return Fault{CrashAfter: NeverCrash, Byzantine: newProc}
 }

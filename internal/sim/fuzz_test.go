@@ -84,3 +84,23 @@ func FuzzReadJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTopology feeds arbitrary specs to the topology parser, the
+// external input behind every topology= workload parameter. For any n in
+// [1, 256] it must return an error, the fully connected nil topology, or
+// links over exactly n processes — never panic or exhaust memory.
+func FuzzParseTopology(f *testing.F) {
+	for _, spec := range []string{
+		"full", "ring", "torus", "torus/2x4", "regular/3", "scalefree/2", "islands/4",
+		"torus/3x6148914691236517208", "scalefree/1000000000000", "regular/-1", "islands/9",
+	} {
+		f.Add(spec, 8, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, n int, seed int64) {
+		n = 1 + int(uint(n)%256)
+		l, err := sim.ParseTopology(spec, n, seed)
+		if err == nil && l != nil && l.N() != n {
+			t.Fatalf("ParseTopology(%q, %d) spans %d processes", spec, n, l.N())
+		}
+	})
+}

@@ -92,14 +92,13 @@ type Event struct {
 }
 
 // Trace is the record of one execution: receive events in their global
-// delivery order and messages. Under the default full retention
-// (Config.Sink nil or RetainAll) it is complete — every event and
-// message, the input to causality.Build. Under bounded retention
-// (RetainWindow, RetainNone) Events and Msgs hold only the retained
-// suffix (or nothing) while TotalEvents/TotalMsgs/StreamHash still
-// describe the whole run; consumers must go through EventByPos/TriggerOf
-// instead of indexing the slices absolutely, and Complete reports which
-// regime a trace is in.
+// delivery order and messages. Under the default full retention (the
+// zero Config.Retention) it is complete — every event and message, the
+// input to causality.Build. Under bounded retention (RetainWindow,
+// RetainNone) Events and Msgs hold only the retained suffix (or nothing)
+// while TotalEvents/TotalMsgs/StreamHash still describe the whole run;
+// consumers must go through EventByPos/TriggerOf instead of indexing the
+// slices absolutely, and Complete reports which regime a trace is in.
 type Trace struct {
 	N      int
 	Events []Event

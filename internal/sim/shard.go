@@ -85,9 +85,8 @@ type shardState struct {
 // setupShards decides the execution mode for one run. It leaves
 // e.shards nil (serial path) unless cfg.Shards asks for parallelism AND
 // the configuration is window-safe: no Monitor/Until callback (both
-// observe global order mid-run), no Byzantine handler (adversary state is
-// config-owned and must not be stepped concurrently), no amnesia recovery
-// (respawning calls cfg.Spawn mid-drain), no negative start times (the
+// observe global order mid-run), no amnesia recovery (respawning calls
+// cfg.Spawn mid-drain), no negative start times (the
 // growing-delay bound assumes send times >= 0), and a delay policy with a
 // derivable positive minimum — zero lookahead means zero-width windows.
 // cfg.Delays must already be compiled.
@@ -105,9 +104,6 @@ func (e *Engine) setupShards(cfg Config) {
 		return
 	}
 	for _, f := range cfg.Faults {
-		if f.Byzantine != nil {
-			return
-		}
 		if len(f.Down) > 0 && f.Recovery == RecoverAmnesia {
 			return
 		}
@@ -389,7 +385,7 @@ func (e *Engine) drainShard(s *shardState, wg *sync.WaitGroup) {
 // (sends, recording, RNG draws) deferred to the merge as a windowEvent.
 func (e *Engine) stepShard(s *shardState, d delivery) {
 	var m Message
-	if e.ret.Mode == RetainFullMode {
+	if e.cfg.Retention.Mode == RetainFullMode {
 		m = e.trace.Msgs[d.msg]
 	} else {
 		m = e.pend[int(d.msg-e.pendBase)]
@@ -452,7 +448,7 @@ func (e *Engine) mergeWindow() {
 		s := &sh[best]
 		we := &s.window[s.mergeIdx]
 		s.mergeIdx++
-		if e.ret.Mode != RetainFullMode {
+		if e.cfg.Retention.Mode != RetainFullMode {
 			e.markDelivered(int(we.d.msg - e.pendBase))
 		}
 		for _, out := range s.sends[we.start:we.end] {

@@ -46,10 +46,10 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedRetention pins sink equivalence under sharding: for each
+// TestShardedRetention pins retention equivalence under sharding: for each
 // retention mode, the stream hash and totals at every shard count equal
 // the serial run's, and the full-retention stream hash agrees with the
-// bounded modes (the PR 8 sink-equivalence property, now on the sharded
+// bounded modes (the retention-equivalence property, on the sharded
 // path).
 func TestShardedRetention(t *testing.T) {
 	base := Config{
@@ -65,10 +65,10 @@ func TestShardedRetention(t *testing.T) {
 		Topology: Ring(64),
 		Seed:     5,
 	}
-	sinks := map[string]Sink{"full": nil, "window": RetainWindow(32), "none": RetainNone()}
-	for mode, sink := range sinks {
+	rets := map[string]Retention{"full": {}, "window": RetainWindow(32), "none": RetainNone()}
+	for mode, ret := range rets {
 		cfg := base
-		cfg.Sink = sink
+		cfg.Retention = ret
 		serial, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s serial: %v", mode, err)
@@ -251,10 +251,6 @@ func TestShardedFallbacks(t *testing.T) {
 		"amnesia": func(c *Config) {
 			c.Faults = map[ProcessID]Fault{2: {CrashAfter: NeverCrash, Recovery: RecoverAmnesia,
 				Down: []Interval{{From: rat.One, Until: rat.FromInt(2)}}}}
-		},
-		"byzantine": func(c *Config) {
-			c.Faults = map[ProcessID]Fault{1: {CrashAfter: NeverCrash,
-				Byzantine: ProcessFunc(func(env *Env, msg Message) {})}}
 		},
 		"negative-start": func(c *Config) {
 			st := make([]Time, c.N)

@@ -1,11 +1,16 @@
 package sim
 
-// Config describes one simulation run.
+// Config describes one simulation run. It is a value: it holds data,
+// constructors and predicates, and the engine builds every stateful
+// object (process state machines, Byzantine adversaries, RNG, queues)
+// inside Run, so running one Config twice gives the same execution.
 type Config struct {
 	// N is the number of processes.
 	N int
-	// Spawn creates the correct-process state machine for process p.
-	// Faulty processes with a Byzantine handler ignore it.
+	// Spawn creates the correct-process state machine for process p. Run
+	// calls it once per process at setup (and again on each amnesia
+	// recovery), so it must return a fresh machine on every call.
+	// Processes with a Byzantine fault take Fault.Byzantine instead.
 	Spawn func(p ProcessID) Process
 	// Faults maps process IDs to their failure behavior. Processes not
 	// present are correct.
@@ -44,13 +49,12 @@ type Config struct {
 	Monitor func(t *Trace) error
 	// StartTimes optionally staggers wake-up times; nil means all zero.
 	StartTimes []Time
-	// Sink, when non-nil, observes each finalized Event and Message and
-	// selects the trace-retention policy (see RetainAll, RetainWindow,
-	// RetainNone). nil keeps the complete trace — identical to the
-	// pre-sink engine. Bounded retention trades Trace completeness for
+	// Retention selects how much of the trace the run keeps (see
+	// RetainWindow, RetainNone, ParseRetention). The zero value keeps the
+	// complete trace. Bounded retention trades Trace completeness for
 	// memory: see Trace.Complete and the TotalEvents/StreamHash
 	// accessors, which work in every mode.
-	Sink Sink
+	Retention Retention
 	// Shards, when > 1, asks the engine to execute the run on that many
 	// process shards with a conservative lookahead window (see shard.go):
 	// shards drain their calendar queues in parallel up to the global safe
@@ -58,10 +62,11 @@ type Config struct {
 	// delivery order, so traces, digests, and verdicts are byte-identical
 	// at every shard count — sharding only changes wall-clock time. 0 and
 	// 1 select the serial engine. Configurations the conservative window
-	// cannot handle (Monitor/Until callbacks, Byzantine or amnesia faults,
-	// negative start times, or a delay policy with no positive lower
-	// bound, the zero-lookahead case) silently fall back to the serial
-	// path; Result.Shards reports the mode actually used.
+	// cannot handle (Monitor/Until callbacks, amnesia recovery, negative
+	// start times, or a delay policy with no positive lower bound, the
+	// zero-lookahead case) silently fall back to the serial path;
+	// Result.Shards reports the mode actually used. Byzantine processes
+	// shard like correct ones: each run builds its own adversaries.
 	Shards int
 }
 

@@ -312,7 +312,8 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 				return nil, fmt.Errorf("sim: topology %q: bad dimensions", spec)
 			}
 		}
-		if rows*cols != n {
+		// Divide rather than multiply: rows*cols can overflow int.
+		if n%rows != 0 || n/rows != cols {
 			return nil, fmt.Errorf("sim: topology %q: %d×%d != n=%d", spec, rows, cols, n)
 		}
 		return Torus(rows, cols), nil
@@ -329,6 +330,9 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 		m, err := strconv.Atoi(arg)
 		if err != nil || m < 1 {
 			return nil, fmt.Errorf("sim: topology %q: want scalefree/M with M >= 1", spec)
+		}
+		if m > n-1 {
+			return nil, fmt.Errorf("sim: topology %q: attachment count %d exceeds n-1=%d", spec, m, n-1)
 		}
 		return ScaleFree(n, m, seed), nil
 	case "islands":

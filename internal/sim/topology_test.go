@@ -155,6 +155,7 @@ func TestParseTopology(t *testing.T) {
 		{"torus/3x3", 9, false, 9 * 4},
 		{"regular/2", 9, false, 9 * 2},
 		{"scalefree/1", 9, false, 2 * 8},
+		{"scalefree/8", 9, false, 2 * 36},
 		{"islands/3", 9, false, 9 * 2},
 	}
 	for _, tc := range ok {
@@ -180,6 +181,8 @@ func TestParseTopology(t *testing.T) {
 		{"full/x", 4}, {"ring/3", 4}, {"torus/2x3", 4}, {"torus/ab", 4},
 		{"regular/4", 4}, {"regular/x", 4}, {"scalefree/0", 4},
 		{"islands/5", 4}, {"islands/0", 4}, {"mesh", 4}, {"ring", 0},
+		// rows*cols overflows int to n; M beyond n-1 would presize 2*M*n.
+		{"torus/3x6148914691236517208", 8}, {"scalefree/8", 8}, {"scalefree/1000000000000", 8},
 	}
 	for _, tc := range bad {
 		if _, err := ParseTopology(tc.spec, tc.n, 1); err == nil {

@@ -61,11 +61,6 @@ func TestShardInvisibilityAllSources(t *testing.T) {
 				}
 			}
 			for _, shards := range shardCounts {
-				// Fresh jobs per run: Byzantine adversaries are stateful.
-				jobs, err := s.Jobs(v, seeds, workload.JobOptions{Ratio: true})
-				if err != nil {
-					t.Fatal(err)
-				}
 				results := runSharded(t, jobs, 2, shards)
 				for i, r := range results {
 					if got, want := fingerprint(r), fingerprint(baseline[i]); got != want {
@@ -83,7 +78,7 @@ func TestShardInvisibilityAllSources(t *testing.T) {
 // hardest on the per-message fault stream — the sharded engine must
 // reproduce the serial stream digest and totals exactly. Uses the same
 // fault specs as the retention-equivalence suite so the two invisibility
-// planes (sink, shards) are pinned on identical configurations.
+// planes (retention, shards) are pinned on identical configurations.
 func TestShardInvisibilityFaultPlane(t *testing.T) {
 	s := source(t, "broadcast")
 	for _, spec := range []string{
@@ -93,26 +88,22 @@ func TestShardInvisibilityFaultPlane(t *testing.T) {
 		"recover/1@2..4+drop/0.2+dup/0.15",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			jobsFor := func() []runner.Job {
-				t.Helper()
-				v, err := s.Resolve(map[string]string{"faults": spec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				jobs, err := s.Jobs(v, []int64{7}, workload.JobOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return jobs
+			v, err := s.Resolve(map[string]string{"faults": spec})
+			if err != nil {
+				t.Fatal(err)
 			}
-			base := runSharded(t, jobsFor(), 1, 1)
+			jobs, err := s.Jobs(v, []int64{7}, workload.JobOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runSharded(t, jobs, 1, 1)
 			for _, r := range base {
 				if r.Err != nil {
 					t.Fatalf("%s: %v", r.Key, r.Err)
 				}
 			}
 			for _, shards := range shardCounts[1:] {
-				results := runSharded(t, jobsFor(), 1, shards)
+				results := runSharded(t, jobs, 1, shards)
 				for i, r := range results {
 					if got, want := fingerprint(r), fingerprint(base[i]); got != want {
 						t.Errorf("shards=%d: %s:\n got %s\nwant %s", shards, r.Key, got, want)

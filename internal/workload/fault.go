@@ -65,8 +65,10 @@ func FaultParams() []Param {
 }
 
 // ByzFactory builds a source's i-th live Byzantine adversary for process
-// id with the given step budget. Sources without a live adversary family
-// pass nil, which rejects byz clauses at job build.
+// id with the given step budget. The engine calls it at the setup of
+// every run (through sim.Fault.Byzantine), so it must return a fresh
+// adversary per call. Sources without a live adversary family pass nil,
+// which rejects byz clauses at job build.
 type ByzFactory func(i int, id sim.ProcessID, budget int) sim.Process
 
 // faultClause is one parsed spec clause, remembering its position and raw
@@ -458,7 +460,8 @@ func ResolveFaults(v Values, n int, topo *sim.Links, byz ByzFactory) (map[sim.Pr
 				if byz == nil {
 					return nil, nil, fmt.Errorf("workload: %s declares no Byzantine adversary family (fault spec %q)", v.source, spec)
 				}
-				faults[id] = sim.ByzantineFault(byz(bi, id, c.budget))
+				i, budget := bi, c.budget
+				faults[id] = sim.ByzantineFault(func() sim.Process { return byz(i, id, budget) })
 				bi++
 			case "script":
 				faults[id] = sim.Fault{CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{

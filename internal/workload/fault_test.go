@@ -78,8 +78,18 @@ func TestResolveFaultsByz(t *testing.T) {
 	if len(faults) != 3 {
 		t.Fatalf("got %d faults, want 3", len(faults))
 	}
-	// The adversary index runs across clauses; budgets are per clause
-	// with default 60.
+	// The factory runs when the engine builds each adversary, never at
+	// resolution. The adversary index runs across clauses; budgets are
+	// per clause with default 60.
+	if len(calls) != 0 {
+		t.Fatalf("factory called %d times at resolution, want 0", len(calls))
+	}
+	for _, id := range []sim.ProcessID{7, 6, 5} {
+		if faults[id].Byzantine == nil {
+			t.Fatalf("process %d has no Byzantine constructor", id)
+		}
+		faults[id].Byzantine()
+	}
 	want := []call{{0, 20}, {1, 20}, {2, 60}}
 	if len(calls) != len(want) {
 		t.Fatalf("factory called %d times, want %d", len(calls), len(want))
@@ -87,11 +97,6 @@ func TestResolveFaultsByz(t *testing.T) {
 	for i := range want {
 		if calls[i] != want[i] {
 			t.Errorf("call %d: %+v, want %+v", i, calls[i], want[i])
-		}
-	}
-	for _, id := range []sim.ProcessID{7, 6, 5} {
-		if faults[id].Byzantine == nil {
-			t.Errorf("process %d has no Byzantine handler", id)
 		}
 	}
 

@@ -8,8 +8,8 @@ import (
 
 // TraceParams returns the shared trace-retention parameter declaration.
 // Simulation sources append it to their parameter space (like
-// TopologyParams); the sweep decoration then installs the corresponding
-// sim.Sink on every generated job's Config:
+// TopologyParams); the sweep decoration then sets the corresponding
+// sim.Retention on every generated job's Config:
 //
 //	trace=full      — keep the complete trace (the default)
 //	trace=window/K  — sliding window of the last K events (feeds the
@@ -26,14 +26,14 @@ func TraceParams() []Param {
 }
 
 // ResolveRetention parses the source's resolved "trace" parameter into a
-// sink and its policy. Sources without the parameter get full retention.
-func ResolveRetention(v Values) (sim.Sink, sim.Retention, error) {
+// retention policy. Sources without the parameter get full retention.
+func ResolveRetention(v Values) (sim.Retention, error) {
 	if !v.Has("trace") {
-		return nil, sim.Retention{Mode: sim.RetainFullMode}, nil
+		return sim.Retention{}, nil
 	}
-	sink, err := sim.ParseRetention(v.String("trace"))
+	r, err := sim.ParseRetention(v.String("trace"))
 	if err != nil {
-		return nil, sim.Retention{}, fmt.Errorf("workload: %w", err)
+		return sim.Retention{}, fmt.Errorf("workload: %w", err)
 	}
-	return sink, sink.Retention(), nil
+	return r, nil
 }

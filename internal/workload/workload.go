@@ -243,7 +243,7 @@ func (s Source) Resolve(overrides map[string]string) (Values, error) {
 	}
 	v := Values{source: s.Name, params: s.Params, vals: vals}
 	if v.Has("trace") {
-		_, ret, err := ResolveRetention(v)
+		ret, err := ResolveRetention(v)
 		if err != nil {
 			return Values{}, err
 		}
@@ -283,23 +283,23 @@ type JobOptions struct {
 	NoVerdict bool
 }
 
-// decorate applies sweep options, the trace-retention sink, and the
+// decorate applies sweep options, the trace-retention policy, and the
 // domain verdict to one job. Bounded retention restricts the decoration:
 // watching (the incremental checker) works on a window but not on
 // trace=none, and the batch Xi / critical-ratio analyses — which replay
 // the complete trace — are silently skipped rather than handed a trace
 // that cannot support them.
 func (s Source) decorate(job runner.Job, v Values, opt JobOptions) (runner.Job, error) {
-	ret := sim.Retention{Mode: sim.RetainFullMode}
+	var ret sim.Retention
 	if job.Cfg != nil {
-		sink, r, err := ResolveRetention(v)
+		r, err := ResolveRetention(v)
 		if err != nil {
 			return runner.Job{}, err
 		}
-		if sink != nil && r.Mode != sim.RetainFullMode {
+		if r.Mode != sim.RetainFullMode {
 			ret = r
 			cfg := *job.Cfg
-			cfg.Sink = sink
+			cfg.Retention = r
 			job.Cfg = &cfg
 		}
 	}
